@@ -116,11 +116,6 @@ def cmd_morse(args) -> int:
     sample = build_sample(spec)
     k_list = _ints(args.k_list)
     q = list(range(sample.n + 1)) if args.q == "all" else [int(args.q)]
-    if any(v > sample.n for v in q):
-        # index above the base dimension is identically empty
-        q = [v for v in q if v <= sample.n]
-        if not q:
-            q = [sample.n]
     report = convergence_study(sample, k_list, q, args.samples, args.seed,
                                args.tol, workers=args.workers)
     csv_path = args.out + ".csv"

@@ -61,6 +61,8 @@ class CurvatureTensor:
         c = np.asarray(self.c, dtype=complex)
         if c.ndim != 4 or c.shape[0] != c.shape[1] or c.shape[2] != c.shape[3]:
             raise ValueError("coefficients must have shape (n, n, r, r)")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         swapped = np.conj(np.transpose(c, (1, 0, 3, 2)))
         scale = max(1.0, float(np.abs(c).max()))
         if float(np.abs(c - swapped).max()) > _SYM_TOL * scale:

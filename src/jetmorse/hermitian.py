@@ -39,6 +39,8 @@ class HermitianForm:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("entries must be a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
         scale = max(1.0, float(np.abs(a).max()))
         if float(np.abs(a - a.conj().T).max()) > _SYM_TOL * scale:
             raise ValueError("matrix is not hermitian within tolerance")

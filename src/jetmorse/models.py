@@ -222,8 +222,8 @@ def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
 
 def random_tensor(n: int, r: int, scale: float, seed: int) -> CurvatureTensor:
     """Hermitian-symmetrized complex-Gaussian coefficient tensor."""
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
+    if not 0 <= scale < math.inf:
+        raise ValueError("scale must be finite and >= 0")
     rng = stream(seed, "random-tensor", n, r)
     a = (rng.standard_normal((n, n, r, r))
          + 1j * rng.standard_normal((n, n, r, r)))

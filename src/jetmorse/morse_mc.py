@@ -12,6 +12,21 @@ compared against the quadrature version of the limiting index integral of
 eta.  The comparison is normalized through the exact rational I(k, r, n)
 so that normalized_deviation should decay like 1/log k.
 
+Kernel: each chunk of draws is processed once for every k of a study.
+Hermitian matrices are handled in real coordinates (diagonal, then real
+and imaginary parts of the upper triangle).  Because x_s = g_s / G_k, the
+fiber matrix of g_k is (1/G_k) sum_{s<=k} (g_s/s) u_s u_s*, so a single
+prefix pass over s yields it for all k, and one GEMM with the tensor,
+mapped to those coordinates, gives all forms.  The index of a form with
+n <= 3 is read off its leading principal minors (Sylvester's law of
+inertia, Jacobi's sign rule).  A screen with explicit rounding margins
+accepts a row only when |det| proves that no eigenvalue lies in the band
+[-tol, tol]; every other row, and every row for n >= 4, goes to an
+eigensolve, so the band and the degenerate fraction are exactly those of
+the eigenvalues.  Per-chunk (count, mean, M2) summaries are merged with
+the Chan-Golub-LeVeque update, which keeps the variance free of the
+cancellation a sum of squares suffers when the mean dominates.
+
 Determinism: every point gets its own counter-based stream keyed by
 (seed, point id); draws are made in fixed-size chunks at the largest k of a
 study and re-used for smaller k (common random numbers: normalizing the
@@ -31,7 +46,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTensor, TwistForm, eta, g_k_batch
+# g_k_batch is not called here: it is the reference assembly the fused kernel
+# is tested against, and bench/tracing.py wraps it by name on this module.
+from .curvature import CurvatureTensor, TwistForm, eta, g_k_batch  # noqa: F401
 from .hermitian import HermitianForm, signed_index_det
 from .jet_combinatorics import harmonic, ikrn_exact
 from .measures import sample_sphere_batch
@@ -70,8 +87,8 @@ class ManifoldPoint:
     twist: Optional[TwistForm] = None
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("point weights must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError("point weights must be positive and finite")
         if self.twist is not None and self.twist.n != self.tensor.n:
             raise ValueError("twist dimension does not match tensor")
 
@@ -93,6 +110,8 @@ class ManifoldSample:
                 raise ValueError("all tensors must share (n, r)")
         if len({p.id for p in pts}) != len(pts):
             raise ValueError("point ids must be unique")
+        if not math.isfinite(self.total_volume):
+            raise ValueError("total volume must be finite")
         w = math.fsum(p.weight for p in pts)
         if abs(w - self.total_volume) > 1e-9 * max(1.0, abs(self.total_volume)):
             raise ValueError("weights must sum to the stated total volume")
@@ -206,22 +225,178 @@ def twist_delta(k: int, r: int) -> Fraction:
     return harmonic(k) / (k * r)
 
 
-def _index_stats(lam: np.ndarray, q_list: Sequence[int], tol: float):
-    """Per-q (sum, sum of squares) of 1_{index q} det and the degenerate count.
+# Rounding margin of the inertia screen, relative to the magnitudes involved:
+# a generous multiple of the unit roundoff that covers the closed-form minors,
+# the computed Frobenius norm and the backward error of an eigensolve of the
+# same n <= 3 form.
+_SCREEN_EPS = 64 * np.finfo(float).eps
 
-    ``lam`` has shape (m, n): ascending eigenvalues of m sampled forms.
+
+def _herm_coords(a: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., d*d) of hermitian matrices (..., d, d).
+
+    The diagonal comes first, then the real and then the imaginary parts of
+    the strict upper triangle in row-major order.
     """
-    n = lam.shape[1]
-    plus = np.sum(lam > tol, axis=1)
-    minus = np.sum(lam < -tol, axis=1)
-    det = np.prod(lam, axis=1)
-    degen = int(np.sum(plus + minus < n))
+    d = a.shape[-1]
+    iu, ju = np.triu_indices(d, 1)
+    off = a[..., iu, ju]
+    return np.concatenate([np.diagonal(a, axis1=-2, axis2=-1).real,
+                           off.real, off.imag], axis=-1)
+
+
+def _herm_matrices(f: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`_herm_coords`: (..., d*d) coordinates to (..., d, d)."""
+    iu, ju = np.triu_indices(d, 1)
+    p = iu.size
+    a = np.zeros(f.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    a[..., diag, diag] = f[..., :d]
+    off = f[..., d:d + p] + 1j * f[..., d + p:]
+    a[..., iu, ju] = off
+    a[..., ju, iu] = off.conj()
+    return a
+
+
+def _outer_coords(u: np.ndarray) -> np.ndarray:
+    """Coordinates (r*r, ...) of the hermitian outer products u u* of (..., r) vectors.
+
+    The coordinate axis comes first, so that each coordinate is one
+    contiguous plane; the planes are filled in place, since fresh large
+    temporaries cost more than the arithmetic.
+    """
+    r = u.shape[-1]
+    re, im = np.moveaxis(u.real, -1, 0), np.moveaxis(u.imag, -1, 0)
+    out = np.empty((r * r,) + u.shape[:-1])
+    for a in range(r):
+        np.multiply(re[a], re[a], out=out[a])
+        out[a] += im[a] * im[a]
+    iu, ju = np.triu_indices(r, 1)
+    for i, (a, b) in enumerate(zip(iu, ju), start=r):
+        np.multiply(re[a], re[b], out=out[i])
+        out[i] += im[a] * im[b]
+        np.multiply(im[a], re[b], out=out[i + iu.size])
+        out[i + iu.size] -= re[a] * im[b]
+    return out
+
+
+def _tensor_map(t: CurvatureTensor) -> np.ndarray:
+    """(r*r, n*n) real matrix of H -> sum_ab c[i,j,a,b] H[a,b] in coordinates."""
+    basis = _herm_matrices(np.eye(t.r * t.r), t.r)
+    return _herm_coords(np.einsum("ijab,xab->xij", t.c, basis))
+
+
+def _chunk_forms(point: ManifoldPoint, g: np.ndarray, u: np.ndarray,
+                 k_list: Sequence[int]) -> np.ndarray:
+    """Coordinates of the sampled form at every k of one draw, shape (n*n, len(k_list), m).
+
+    ``g`` (m, k_max) holds the gamma variables and ``u`` (m, k_max, r) the
+    sphere vectors, with k_max = max(k_list).  Since x_s = g_s / G_k, the
+    fiber matrix of g_k is (1/G_k) sum_{s<=k} (g_s/s) u_s u_s*: one prefix
+    pass over s serves every k (each segment between consecutive k is summed
+    once, then the segments are cumulated), and one GEMM applies the tensor.
+    """
+    t = point.tensor
+    k_list = list(k_list)
+    starts = [0] + k_list[:-1]
+    outer = _outer_coords(u)
+    outer *= g / np.arange(1, g.shape[1] + 1)
+    fiber = np.cumsum(np.add.reduceat(outer, starts, axis=2), axis=2)
+    total = np.cumsum(np.add.reduceat(g, starts, axis=1), axis=1)
+    scale = np.ones(len(k_list))
+    if point.twist is not None:
+        scale = np.array([k * t.r / float(harmonic(k)) for k in k_list])
+    fiber *= scale / total
+    rows = fiber.transpose(0, 2, 1).reshape(t.r * t.r, -1)
+    forms = (_tensor_map(t).T @ rows).reshape(t.n * t.n, len(k_list), -1)
+    if point.twist is not None:
+        forms += _herm_coords(point.twist.theta_F.entries)[:, None, None]
+    return forms
+
+
+def _leading_minors(f: np.ndarray, n: int) -> list:
+    """Leading principal minors D_1..D_n (n <= 3) of forms given in coordinates.
+
+    Each minor comes with the sum of the absolute values of its terms, which
+    bounds its rounding error.
+    """
+    a = f[:, 0]
+    minors = [(a, np.abs(a))]
+    if n == 1:
+        return minors
+    b = f[:, 1]
+    ab = a * b
+    if n == 2:
+        p = f[:, 2] ** 2 + f[:, 3] ** 2
+        return minors + [(ab - p, np.abs(ab) + p)]
+    c = f[:, 2]
+    x12, x13, x23, y12, y13, y23 = f[:, 3:].T
+    p12 = x12 * x12 + y12 * y12
+    p13 = x13 * x13 + y13 * y13
+    p23 = x23 * x23 + y23 * y23
+    # Re(f12 f23 conj(f13))
+    cyc = (x12 * x23 - y12 * y23) * x13 + (x12 * y23 + y12 * x23) * y13
+    det = ab * c + 2 * cyc - a * p23 - b * p13 - c * p12
+    absdet = (np.abs(ab * c) + 2 * np.sqrt(p12 * p13 * p23)
+              + np.abs(a) * p23 + np.abs(b) * p13 + np.abs(c) * p12)
+    return minors + [(ab - p12, np.abs(ab) + p12), (det, absdet)]
+
+
+def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
+    """Per-q (mean, M2) of 1_{index q} det over a chunk of forms, and the degenerate count.
+
+    ``forms`` has shape (m, n*n): coordinates of m sampled forms (see
+    :func:`_herm_coords`); M2 is the sum of squared deviations from the mean.
+    For n <= 3 the inertia comes from the leading principal minors by
+    Jacobi's rule.  A row is decided that way only when it provably has no
+    eigenvalue in [-tol, tol]: |det| <= |lambda_min| ||A||_F^(n-1), so
+    |det| > tol ||A||_F^(n-1) plus rounding margins suffices, and the
+    intermediate minors must be clear of zero.  Every other row, and every
+    row for n >= 4, goes to an eigensolve, so the tolerance band and the
+    degenerate count are those of the eigenvalues.
+    """
+    m, n = forms.shape[0], math.isqrt(forms.shape[1])
+    det = np.zeros(m)
+    minus = np.zeros(m, dtype=np.int64)
+    ok = np.zeros(m, dtype=bool)
+    if n <= 3:
+        minors = _leading_minors(forms, n)
+        sq = forms * forms
+        fro = np.sqrt(sq[:, :n].sum(axis=1) + 2 * sq[:, n:].sum(axis=1))
+        d_n, abs_n = minors[-1]
+        ok = np.abs(d_n) > ((tol + _SCREEN_EPS * fro) * fro ** (n - 1)
+                            * (1 + _SCREEN_EPS) + _SCREEN_EPS * abs_n)
+        prev = np.zeros(m, dtype=bool)
+        for d_i, abs_i in minors:
+            if d_i is not d_n:
+                ok &= np.abs(d_i) > _SCREEN_EPS * abs_i
+            neg = d_i < 0
+            minus += neg != prev
+            prev = neg
+        det = np.where(ok, d_n, 0.0)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        lam = np.linalg.eigvalsh(_herm_matrices(forms[rest], n))
+        neg = np.sum(lam < -tol, axis=1)
+        det[rest] = np.prod(lam, axis=1)
+        minus[rest] = neg
+        ok[rest] = neg + np.sum(lam > tol, axis=1) == n
     out = []
     for q in q_list:
-        mask = (minus == q) & (plus == n - q)
-        vals = np.where(mask, det, 0.0)
-        out.append((float(vals.sum()), float(np.dot(vals, vals))))
-    return out, degen
+        vals = np.where(ok & (minus == q), det, 0.0)
+        mean = float(vals.mean())
+        dev = vals - mean
+        out.append((mean, float(dev @ dev)))
+    return out, m - int(np.count_nonzero(ok))
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Chan-Golub-LeVeque merge of two (count, mean, M2) summaries."""
+    na, ma, sa = a
+    nb, mb, sb = b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n)
 
 
 def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
@@ -229,49 +404,40 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
 
     Returns ({(k, q): (mean, se)}, {k: degenerate_fraction}).
     """
-    t = point.tensor
-    r = t.r
+    r = point.tensor.r
     k_max = max(k_list)
     rng = stream(seed, "morse", point.id)
-    s1 = {(k, q): 0.0 for k in k_list for q in q_list}
-    s2 = dict.fromkeys(s1, 0.0)
+    acc = {(k, q): (0, 0.0, 0.0) for k in k_list for q in q_list}
     degen = dict.fromkeys(k_list, 0)
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         g = rng.gamma(shape=r, size=(m, k_max))
         u = sample_sphere_batch(r, (m, k_max), rng)
-        for k in k_list:
-            x = g[:, :k] / g[:, :k].sum(axis=1, keepdims=True)
-            forms = g_k_batch(t, x, u[:, :k])
-            if point.twist is not None:
-                factor = (k * r) / float(harmonic(k))
-                forms = factor * forms + point.twist.theta_F.entries
-            lam = np.linalg.eigvalsh(forms)
-            stats, d = _index_stats(lam, q_list, tol)
+        forms = _chunk_forms(point, g, u, k_list)
+        for j, k in enumerate(k_list):
+            stats, d = _index_stats(forms[:, j].T, q_list, tol)
             degen[k] += d
-            for q, (a, b) in zip(q_list, stats):
-                s1[(k, q)] += a
-                s2[(k, q)] += b
+            for q, (mean, m2) in zip(q_list, stats):
+                acc[(k, q)] = _merge(acc[(k, q)], (m, mean, m2))
         done += m
-    out = {}
-    m = n_samples
-    for key in s1:
-        mean = s1[key] / m
-        var = max(0.0, (s2[key] - m * mean * mean) / (m - 1))
-        out[key] = (mean, math.sqrt(var / m))
-    return out, {k: degen[k] / m for k in k_list}
+    out = {key: (mean, math.sqrt(m2 / (n_samples - 1) / n_samples))
+           for key, (_, mean, m2) in acc.items()}
+    return out, {k: degen[k] / n_samples for k in k_list}
 
 
 def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
-    workers = workers or default_workers()
-    if workers == 1 or len(M.points) == 1:
-        results = [_point_study(p, k_list, q_list, n_samples, seed, tol)
-                   for p in M.points]
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
+    if min(k_list) < 1:
+        raise ValueError("k must be >= 1")
+    workers = min(workers or default_workers(), len(M.points))
+    args = (k_list, q_list, n_samples, seed, tol)
+    if workers == 1:
+        results = [_point_study(p, *args) for p in M.points]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_point_study, p, k_list, q_list,
-                                   n_samples, seed, tol) for p in M.points]
+            futures = [pool.submit(_point_study, p, *args) for p in M.points]
             results = [f.result() for f in futures]
     est, var, degen = {}, {}, {}
     for k in k_list:

@@ -100,6 +100,26 @@ def test_morse_malformed_model_exit2(tmp_path):
     assert "line" in err and "column" in err
 
 
+def test_morse_q_above_n_exit2(tmp_path, capsys):
+    rc = main(["morse", "--model", MODEL, "--k-list", "2", "--q", "5",
+               "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "q must lie in [0, n]" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_morse_non_finite_model_exit2(tmp_path, capsys):
+    # scale 1e400 parses as inf and would otherwise give all-zero estimates
+    model = json.dumps({"type": "random", "n": 2, "r": 2, "points": 2,
+                        "scale": 1e400, "seed": 1})
+    assert "Infinity" in model
+    rc = main(["morse", "--model", model.replace("Infinity", "1e400"),
+               "--k-list", "2", "--samples", "10", "--seed", "1",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_ci_threshold_example(capsys):
     assert main(["ci-threshold", "--n", "2", "--s", "1", "--degrees", "15",
                  "--a", "1"]) == 0

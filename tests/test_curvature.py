@@ -22,6 +22,11 @@ def test_tensor_validation():
     c[1, 0, 1, 0] = 1 - 2j
     t = CurvatureTensor(c)
     assert (t.n, t.r) == (2, 3)
+    for bad in (np.nan, np.inf):
+        d = c.copy()
+        d[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CurvatureTensor(d)
 
 
 def test_eta_is_fiber_trace():

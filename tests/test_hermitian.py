@@ -22,6 +22,9 @@ def test_form_validation():
         HermitianForm(np.array([[1.0, 2j], [2j, 3.0]]))
     with pytest.raises(ValueError):
         HermitianForm(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            HermitianForm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_quadratic_real_and_matches_eigen():

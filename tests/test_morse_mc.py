@@ -1,17 +1,21 @@
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jetmorse.curvature import CurvatureTensor, TwistForm, trace_free
+from jetmorse import morse_mc
+from jetmorse.curvature import CurvatureTensor, TwistForm, g_k_batch, trace_free
 from jetmorse.hermitian import HermitianForm
-from jetmorse.jet_combinatorics import ikrn_exact
+from jetmorse.jet_combinatorics import harmonic, ikrn_exact
+from jetmorse.measures import sample_sphere_batch
 from jetmorse.models import fubini_study_tensor, random_tensor
 from jetmorse.morse_mc import (ManifoldPoint, ManifoldSample, MorseReport,
                                MorseRow, convergence_study, eta_index_integral,
                                full_morse_constant, reduced_morse_integral,
                                twist_delta)
+from jetmorse.rng import stream
 
 
 def _scalar_tensor(c):
@@ -35,6 +39,11 @@ def test_sample_validation():
     with pytest.raises(ValueError):
         ManifoldSample((ManifoldPoint("a", t, 0.5),
                         ManifoldPoint("b", mixed, 0.5)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ManifoldPoint("a", t, bad)
+        with pytest.raises(ValueError):
+            ManifoldSample((ManifoldPoint("a", t, 1.0),), total_volume=bad)
 
 
 def test_eta_index_integral_examples():
@@ -59,6 +68,34 @@ def test_reduced_scalar_k1():
     est, se = reduced_morse_integral(M, 1, 0, 1000, 3, 1e-9)
     assert est == pytest.approx(2.5)
     assert se < 1e-12
+
+
+def test_std_error_vanishes_for_constant_draws():
+    # k=1, r=1: every draw is the constant form diag(1e4, 1.5e4) up to
+    # rounding, so the standard error is rounding noise around det = 1.5e8
+    c = np.diag([1e4, 1.5e4]).astype(complex).reshape(2, 2, 1, 1)
+    M = _single(CurvatureTensor(c))
+    est, se = reduced_morse_integral(M, 1, 0, 20000, 3, 1e-9)
+    assert est == pytest.approx(1.5e8, rel=1e-12)
+    assert se <= 1e-12 * abs(est)
+
+
+def test_std_error_matches_two_pass_when_mean_dominates():
+    # a large twist under a tiny tensor: det ~ 1e8 with a spread of a few
+    # units, where a sum-of-squares variance would cancel away
+    twist = TwistForm(HermitianForm(1e4 * np.eye(2, dtype=complex)))
+    point = ManifoldPoint("p", random_tensor(2, 2, 1e-4, 12), 1.0, twist)
+    m, k = 16000, 3
+    est, se = reduced_morse_integral(_single(point.tensor, twist), k, 0, m, 8, 1e-9)
+    rng = stream(8, "morse", "p")
+    g = rng.gamma(shape=2, size=(m, k))
+    u = sample_sphere_batch(2, (m, k), rng)
+    x = g / g.sum(axis=1, keepdims=True)
+    forms = k * 2 / float(harmonic(k)) * g_k_batch(point.tensor, x, u) + twist.theta_F.entries
+    vals = np.prod(np.linalg.eigvalsh(forms), axis=1)
+    assert vals.min() > 0
+    assert est == pytest.approx(vals.mean(), rel=1e-12)
+    assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(m), rel=1e-6)
 
 
 def test_reduced_scalar_k2():
@@ -155,6 +192,15 @@ def test_convergence_study_rejects_unsorted():
         convergence_study(M, [4, 2], 0, 100, 1, 1e-9)
 
 
+def test_convergence_study_rejects_bad_k_and_tol():
+    M = _single(random_tensor(1, 1, 1.0, 2))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        reduced_morse_integral(M, 0, 0, 100, 1, 1e-9)
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            convergence_study(M, [2], 0, 100, 1, tol)
+
+
 def test_report_duplicate_keys_rejected():
     row = MorseRow(2, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -176,3 +222,86 @@ def test_twisted_study_deviation_uses_direct_scale():
             abs(row.reduced_estimate - want))
     devs = {row.k: row.normalized_deviation for row in rep.rows}
     assert devs[512] < devs[16]
+
+
+def _reference_chunk(point, g, u, k_list, q_list, tol):
+    """Per k: per-q sums of 1_{index q} det, the degenerate count, and the
+    median smallest |eigenvalue|, all via g_k_batch and eigvalsh."""
+    t = point.tensor
+    out = {}
+    for k in k_list:
+        x = g[:, :k] / g[:, :k].sum(axis=1, keepdims=True)
+        forms = g_k_batch(t, x, u[:, :k])
+        if point.twist is not None:
+            factor = k * t.r / float(harmonic(k))
+            forms = factor * forms + point.twist.theta_F.entries
+        lam = np.linalg.eigvalsh(forms)
+        plus = np.sum(lam > tol, axis=1)
+        minus = np.sum(lam < -tol, axis=1)
+        det = np.prod(lam, axis=1)
+        sums = [float(np.where((minus == q) & (plus == t.n - q), det, 0.0).sum())
+                for q in q_list]
+        out[k] = (sums, int(np.sum(plus + minus < t.n)),
+                  float(np.median(np.abs(lam).min(axis=1))))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_fused_kernel_matches_reference(n, r, twisted):
+    rng = stream(5, "kernel-test", n, r, twisted)
+    twist = None
+    if twisted:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        twist = TwistForm(HermitianForm(0.5 * (a + a.conj().T)))
+    point = ManifoldPoint("p", random_tensor(n, r, 1.0, 60 + n + r), 1.0, twist)
+    k_list, q_list, m = [1, 3, 7], list(range(n + 1)), 3000
+    g = rng.gamma(shape=r, size=(m, max(k_list)))
+    u = sample_sphere_batch(r, (m, max(k_list)), rng)
+    forms = morse_mc._chunk_forms(point, g, u, k_list)
+    strict = _reference_chunk(point, g, u, k_list, q_list, 1e-9)
+    # a band holding half the smallest eigenvalues at k=3 forces the
+    # screen to hand rows to the eigensolve
+    loose_tol = strict[3][2]
+    for tol in (1e-9, loose_tol):
+        want = _reference_chunk(point, g, u, k_list, q_list, tol)
+        for j, k in enumerate(k_list):
+            stats, degen = morse_mc._index_stats(forms[:, j].T, q_list, tol)
+            sums, want_degen, _ = want[k]
+            assert degen == want_degen
+            for (mean, m2), ref in zip(stats, sums):
+                assert mean * m == pytest.approx(ref, rel=1e-12, abs=0.0)
+                assert m2 >= 0.0
+    assert want[3][1] > 0
+
+
+def test_pool_clamped_to_point_count(monkeypatch):
+    seen = []
+
+    class SyncPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(morse_mc, "ThreadPoolExecutor", SyncPool)
+    pts = tuple(ManifoldPoint(f"p{i}", random_tensor(2, 2, 1.0, 70 + i), 1 / 3)
+                for i in range(3))
+    M = ManifoldSample(pts)
+    pooled = reduced_morse_integral(M, 2, 1, 200, 4, 1e-9, workers=64)
+    assert seen == [3]
+    assert reduced_morse_integral(M, 2, 1, 200, 4, 1e-9, workers=1) == pooled
+    assert seen == [3]
+    single = _single(random_tensor(2, 2, 1.0, 70))
+    reduced_morse_integral(single, 2, 1, 200, 4, 1e-9, workers=64)
+    assert seen == [3]
