@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError, KeyError) as exc:

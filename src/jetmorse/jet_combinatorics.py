@@ -81,7 +81,7 @@ def ikrn_exact(k: int, r: int, n: int, *, term_ceiling: int = 10**8,
     if k == 1:
         return Fraction(1)  # x_1 = 1 forced on the zero-dimensional simplex
     if method == "series":
-        return _ikrn_series(k, r, n)
+        return _ikrn_series(k, r, n, _power_sums(k, n))
     if method == "enumerate":
         count = math.comb(n + k - 1, n)
         if count > term_ceiling:
@@ -102,11 +102,15 @@ def _power_sum(k: int, m: int) -> Fraction:
     return terms[0]
 
 
-def _ikrn_series(k: int, r: int, n: int) -> Fraction:
+def _power_sums(k: int, m_max: int) -> dict:
+    """{m: p_m(k)} for m = 1..m_max."""
+    return {m: _power_sum(k, m) for m in range(1, m_max + 1)}
+
+
+def _ikrn_series(k: int, r: int, n: int, p: dict) -> Fraction:
     # coefficient of t^n in prod_{s=1}^{k} (1 - t/s)^{-r} = exp(r sum_m p_m t^m/m)
     # with power sums p_m = sum_s s^{-m}, via the exponential recurrence
-    # f_j = (1/j) sum_{m=1}^{j} r p_m f_{j-m}
-    p = {m: _power_sum(k, m) for m in range(1, n + 1)}
+    # f_j = (1/j) sum_{m=1}^{j} r p_m f_{j-m}; ``p`` holds p_m for at least m <= n
     f = [Fraction(1)]
     for j in range(1, n + 1):
         f.append(sum(r * p[m] * f[j - m] for m in range(1, j + 1)) / j)
@@ -183,8 +187,10 @@ def epsilon_ratio(k: int, r: int, n: int) -> EpsilonRatio:
     """Exact quotient I(k,r,2n-2)^{1/2} / ((k(k+1/r))^{1/2} I(k,r,n)) vs sqrt(31/15)/log k."""
     if n < 1 or k < 2:
         raise ValueError("require n >= 1 and k >= 2")
-    i_2n2 = ikrn_exact(k, r, max(2 * n - 2, 0))
-    i_n = ikrn_exact(k, r, n)
+    # both moments share the power sums p_m(k), m <= max(2n-2, n)
+    p = _power_sums(k, max(2 * n - 2, n))
+    i_2n2 = _ikrn_series(k, r, 2 * n - 2, p)
+    i_n = _ikrn_series(k, r, n, p)
     denom = Fraction(k) * (Fraction(k) + Fraction(1, r))
     exact_sq = i_2n2 / (denom * i_n**2)
 

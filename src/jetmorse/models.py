@@ -212,6 +212,10 @@ def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
         z = _fermat_draw(n, d, rng)
         frame = _horizontal_tangent_frame(z, d)
         mix = math.fsum(_projection_gram_det(z, frame, j) for j in range(n + 2))
+        if not mix > 0:
+            raise FloatingPointError(
+                f"fermat point {m}: the projection Gram determinants sum to {mix!r}, "
+                "so its importance weight is undefined")
         raw.append(1.0 / mix)
         points.append((f"pt{m:05d}", fermat_tangent_tensor(n, d, z)))
     total = math.fsum(raw)

@@ -68,6 +68,8 @@ class WeightSpec:
         if p is None:
             p = float(math.lcm(*a))  # real-analytic potential by default
         p = float(p)
+        if not math.isfinite(p):
+            raise ValueError("p must be finite; integrate_fiber_limit covers p -> infinity")
         if p < max(a):
             raise ValueError("p must be at least max(a_s) for a C^2 potential")
         object.__setattr__(self, "a", a)
@@ -141,18 +143,20 @@ def volume_closed_form(w: WeightSpec) -> Fraction:
     return Fraction(1, denom)
 
 
-def _sample_blocks(w: WeightSpec, n_samples: int, rng) -> tuple[np.ndarray, np.ndarray, list]:
+def _sample_blocks(w: WeightSpec, n_samples: int, rng) -> tuple[np.ndarray, list]:
     """Uniform simplex draws with the Dirichlet-density importance weight.
 
     The true simplex density is (|r|-1)! prod x_s^{r_s-1} / prod (r_s-1)!;
     sampling the uniform reference and weighting keeps the volume estimate
     genuinely stochastic (the weight integrates to 1 by the simplex moment
     identity) while the weights stay bounded since every r_s >= 1.
+
+    Returns ``(weight, blocks)`` with ``blocks[s] = x_s^{a_s/2p} u_s`` of
+    shape (n_samples, r_s).  Draw order: gamma, then the spheres in block order.
     """
     k = w.k
     if k == 1:
-        return np.ones((n_samples, 1)), np.ones(n_samples), \
-            [sample_sphere_batch(w.r[0], (n_samples,), rng)]
+        return np.ones(n_samples), [sample_sphere_batch(w.r[0], (n_samples,), rng)]
     g = rng.gamma(shape=1.0, size=(n_samples, k))
     x = g / g.sum(axis=1, keepdims=True)
     total = sum(w.r)
@@ -162,7 +166,18 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng) -> tuple[np.ndarray, np.n
     weight = float(const) * np.prod(
         x ** (np.asarray(w.r, dtype=float) - 1.0), axis=1)
     u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
-    return x, weight, u
+    scale = x ** (np.asarray(w.a, dtype=float) / (2.0 * w.p))
+    return weight, [scale[:, s, None] * u_s for s, u_s in enumerate(u)]
+
+
+def _evaluate(f: Callable, blocks: list, n_samples: int) -> np.ndarray:
+    """``f`` at every sample, in order, then one check that all values are finite."""
+    vals = np.fromiter(map(f, zip(*blocks)), float, count=n_samples)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        m = int(bad.argmax())
+        raise FiberEvaluationError(m, tuple(b[m] for b in blocks))
+    return vals
 
 
 def _mc_mean(values: np.ndarray, scale: float) -> tuple[float, float]:
@@ -176,36 +191,29 @@ def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
                     ) -> tuple[float, float]:
     """Monte-Carlo estimate of the fiber integral of an invariant function.
 
-    Returns (estimate, std_error).  ``f`` receives a tuple of complex
-    vectors (x_1^{a_1/2p} u_1, ..., x_k^{a_k/2p} u_k).
+    Returns (estimate, std_error).  ``f`` is called once per sample, in
+    sample order, with a tuple of complex vectors
+    (x_1^{a_1/2p} u_1, ..., x_k^{a_k/2p} u_k) of shapes (r_s,), and must
+    return a real scalar.  Values are checked after the whole pass: a
+    non-finite one raises :class:`FiberEvaluationError` at its first index.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     rng = stream(seed, "fiber", "p", w.a, w.r)
-    x, weight, u = _sample_blocks(w, n_samples, rng)
-    exps = [a_s / (2.0 * w.p) for a_s in w.a]
-    vals = np.empty(n_samples)
-    for m in range(n_samples):
-        point = tuple(x[m, s] ** exps[s] * u[s][m] for s in range(w.k))
-        v = f(point)
-        if not np.isfinite(v):
-            raise FiberEvaluationError(m, point)
-        vals[m] = v
+    weight, blocks = _sample_blocks(w, n_samples, rng)
+    vals = _evaluate(f, blocks, n_samples)
     return _mc_mean(vals * weight, float(volume_closed_form(w)))
 
 
 def integrate_fiber_limit(w: WeightSpec, f: Callable, n_samples: int, seed: int
                           ) -> tuple[float, float]:
-    """Estimate of the p -> infinity limit: spheres-only average times the volume."""
+    """Estimate of the p -> infinity limit: spheres-only average times the volume.
+
+    ``f`` gets the unit vectors (u_1, ..., u_k) under the same contract as
+    in :func:`integrate_fiber`.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     rng = stream(seed, "fiber", "limit", w.a, w.r)
     u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
-    vals = np.empty(n_samples)
-    for m in range(n_samples):
-        point = tuple(u[s][m] for s in range(w.k))
-        v = f(point)
-        if not np.isfinite(v):
-            raise FiberEvaluationError(m, point)
-        vals[m] = v
-    return _mc_mean(vals, float(volume_closed_form(w)))
+    return _mc_mean(_evaluate(f, u, n_samples), float(volume_closed_form(w)))

@@ -33,6 +33,14 @@ def test_wps_volume_noncoprime_exit2():
     assert "coprime" in err
 
 
+def test_wps_volume_non_finite_p_exit2():
+    # --p nan used to pass validation and print a zero std_error
+    rc, out, err = _run(["wps-volume", "--weights", "1,2", "--mults", "1,1",
+                         "--p", "nan", "--samples", "10", "--seed", "1"])
+    assert rc == 2
+    assert "finite" in err and out == ""
+
+
 def test_ikrn_exact(capsys):
     assert main(["ikrn", "--k", "2", "--r", "1", "--n", "1"]) == 0
     assert "exact 3/4" in capsys.readouterr().out
@@ -133,3 +141,17 @@ def test_ci_threshold_boundary_exit2():
                        "--degrees", "5", "--a", "1"])
     assert rc == 2
     assert "exceed" in err
+
+
+def test_morse_fermat_zero_mix_exit4(tmp_path, capsys, monkeypatch):
+    import jetmorse.models as models
+
+    monkeypatch.setattr(models, "_projection_gram_det", lambda *a: 0.0)
+    model = json.dumps({"type": "fermat", "n": 2, "d": 3, "points": 2, "seed": 1})
+    rc = main(["morse", "--model", model, "--k-list", "2", "--samples", "10",
+               "--seed", "1", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "numerical failure" in err and "Gram" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()

@@ -90,6 +90,14 @@ def test_epsilon_ratio_structure():
     assert e.within_bound
 
 
+@pytest.mark.parametrize("k,r,n", [(2, 1, 1), (7, 2, 2), (30, 3, 3), (12, 1, 4)])
+def test_epsilon_ratio_squared_is_exact_quotient(k, r, n):
+    # the shared power sums must give the same rational as two ikrn_exact calls
+    want = ikrn_exact(k, r, 2 * n - 2) / (Fraction(k) * (k + Fraction(1, r))
+                                          * ikrn_exact(k, r, n) ** 2)
+    assert epsilon_ratio(k, r, n).exact_squared == want
+
+
 def test_epsilon_ratio_rejects_degenerate():
     with pytest.raises(ValueError):
         epsilon_ratio(1, 1, 2)

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetmorse.measures import sample_sphere_batch
+from jetmorse.rng import stream
 from jetmorse.wps import (FiberEvaluationError, FiberPoint, WeightSpec,
                           integrate_fiber, integrate_fiber_limit, phi, phi_limit,
                           volume_closed_form)
@@ -19,6 +23,13 @@ def test_weight_spec_validation():
         WeightSpec((1, 2), (1,))
     with pytest.raises(ValueError):
         WeightSpec((1, 3), (1, 1), p=2.0)  # p below max weight
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_weight_spec_rejects_non_finite_p(p):
+    # nan < max(a) is False, so NaN used to pass the C^2 check
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec((1, 2), (1, 1), p=p)
 
 
 def test_volume_closed_form():
@@ -92,3 +103,121 @@ def test_permutation_invariance():
     e1, s1 = integrate_fiber(w1, f, 40000, 12)
     e2, s2 = integrate_fiber(w2, lambda z: f(z[::-1]), 40000, 12)
     assert abs(e1 - e2) <= 3 * math.hypot(s1, s2) + 1e-12
+
+
+def _loop_points(w, n_samples, seed, limit):
+    """Per-sample points of the scalar loop the batched sampler replaced."""
+    if limit:
+        rng = stream(seed, "fiber", "limit", w.a, w.r)
+        u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
+        weight = np.ones(n_samples)
+        return weight, (tuple(u[s][m] for s in range(w.k)) for m in range(n_samples))
+    rng = stream(seed, "fiber", "p", w.a, w.r)
+    k = w.k
+    if k == 1:
+        x, weight = np.ones((n_samples, 1)), np.ones(n_samples)
+        u = [sample_sphere_batch(w.r[0], (n_samples,), rng)]
+    else:
+        g = rng.gamma(shape=1.0, size=(n_samples, k))
+        x = g / g.sum(axis=1, keepdims=True)
+        const = Fraction(math.factorial(sum(w.r) - 1), math.factorial(k - 1))
+        for r_s in w.r:
+            const /= math.factorial(r_s - 1)
+        weight = float(const) * np.prod(x ** (np.asarray(w.r, dtype=float) - 1.0), axis=1)
+        u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
+    exps = [a_s / (2.0 * w.p) for a_s in w.a]
+    return weight, (tuple(x[m, s] ** exps[s] * u[s][m] for s in range(k))
+                    for m in range(n_samples))
+
+
+def _loop_oracle(w, f, n_samples, seed, limit=False):
+    weight, points = _loop_points(w, n_samples, seed, limit)
+    vals = np.empty(n_samples)
+    for m, point in enumerate(points):
+        v = f(point)
+        if not np.isfinite(v):
+            raise FiberEvaluationError(m, point)
+        vals[m] = v
+    vals *= weight
+    vol = float(volume_closed_form(w))
+    return float(vals.mean()) * vol, float(vals.std(ddof=1) / math.sqrt(n_samples)) * vol
+
+
+def _blockwise(z):
+    # weights each block differently, so a swapped or mis-scaled block shows
+    return float(sum((s + 1) * np.vdot(v, v).real + 0.25 * v[0].real
+                     for s, v in enumerate(z)))
+
+
+def _integrate(w, f, n_samples, seed, limit):
+    return (integrate_fiber_limit if limit else integrate_fiber)(w, f, n_samples, seed)
+
+
+def _assert_matches_oracle(w, f, n_samples, seed, limit):
+    # numpy's vectorized pow differs from the scalar one by 1 ulp on some entries
+    got = _integrate(w, f, n_samples, seed, limit)
+    want = _loop_oracle(w, f, n_samples, seed, limit)
+    for g, o in zip(got, want):
+        assert math.isclose(g, o, rel_tol=1e-14, abs_tol=0.0), (got, want)
+
+
+ORACLE_SPECS = [((1,), (3,)), ((1, 2), (2, 1)), ((1, 2, 3), (2, 1, 1)), ((2, 3, 5), (1, 2, 3))]
+
+
+@pytest.mark.parametrize("limit", [False, True])
+@pytest.mark.parametrize("a,r", ORACLE_SPECS)
+def test_batched_sampler_matches_loop(a, r, limit):
+    w = WeightSpec(a, r)
+    _assert_matches_oracle(w, _blockwise, 3000, 17, limit)
+    _assert_matches_oracle(w, lambda z: 1.0, 3000, 18, limit)
+
+
+@pytest.mark.parametrize("limit", [False, True])
+def test_integrand_called_once_per_sample_with_row_blocks(limit):
+    w = WeightSpec((2, 3, 5), (1, 2, 3))
+    shapes = []
+
+    def f(z):
+        shapes.append(tuple(np.shape(v) for v in z))
+        return 1.0
+
+    _integrate(w, f, 257, 4, limit)
+    assert shapes == [((1,), (2,), (3,))] * 257
+
+
+@pytest.mark.parametrize("limit", [False, True])
+def test_nonfinite_reports_first_index_and_point(limit):
+    w = WeightSpec((1, 2, 3), (2, 1, 1))
+
+    def nan_at_37_and_80(calls):
+        def f(z):
+            calls.append(z)
+            return math.nan if len(calls) - 1 in (37, 80) else 1.0
+        return f
+
+    calls = []
+    with pytest.raises(FiberEvaluationError) as err:
+        _integrate(w, nan_at_37_and_80(calls), 200, 6, limit)
+    assert err.value.sample_index == 37
+    assert len(calls) == 200  # the whole pass runs before the check
+    with pytest.raises(FiberEvaluationError) as want:
+        _loop_oracle(w, nan_at_37_and_80([]), 200, 6, limit)
+    assert want.value.sample_index == 37
+    assert len(err.value.point) == w.k
+    for got_s, want_s in zip(err.value.point, want.value.point):
+        np.testing.assert_allclose(got_s, want_s, rtol=1e-15, atol=0.0)
+
+
+@st.composite
+def _weight_specs(draw):
+    k = draw(st.integers(1, 4))
+    a = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)
+             .filter(lambda a: math.gcd(*a) == 1))
+    r = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return WeightSpec(tuple(a), tuple(r))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(w=_weight_specs(), seed=st.integers(0, 2**32 - 1), limit=st.booleans())
+def test_batched_sampler_matches_loop_property(w, seed, limit):
+    _assert_matches_oracle(w, _blockwise, 300, seed, limit)
