@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .jet_combinatorics import (ResourceLimitError, epsilon_ratio, ikrn_asymptotic,
-                                ikrn_bounds, ikrn_exact)
+                                ikrn_bounds, ikrn_exact, inverse_square_sum)
 from .measures import sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
 from .morse_mc import convergence_study, default_workers
@@ -140,8 +140,7 @@ def cmd_ci_threshold(args) -> int:
         eps = epsilon_ratio(args.k, 1, spec.n)
         print(f"epsilon_exact {_fmt(eps.exact)}")
         print(f"epsilon_bound {_fmt(eps.paper_bound)}")
-        partial = math.fsum(1.0 / s**2 for s in range(1, args.k + 1))
-        print(f"variance_partial_sum_sqrt {_fmt(math.sqrt(partial))}")
+        print(f"variance_partial_sum_sqrt {_fmt(math.sqrt(inverse_square_sum(args.k)))}")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ and dim-q positive eigenvalues (no nullity at the working tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,24 @@ class HermitianForm:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
+    @classmethod
+    def _hermitian(cls, a: np.ndarray) -> "HermitianForm":
+        # sums and real multiples of exactly symmetrized forms are exactly
+        # hermitian, so only finiteness is left to check
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
+        a.setflags(write=False)
+        form = object.__new__(cls)
+        object.__setattr__(form, "entries", a)
+        return form
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending real eigenvalues, computed once per form (read-only)."""
+        lam = np.linalg.eigvalsh(self.entries)
+        lam.setflags(write=False)
+        return lam
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -67,20 +86,20 @@ class HermitianForm:
         return float(np.real(np.einsum("ab,a,b->", self.entries, v, v.conj())))
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        return HermitianForm(self.entries + other.entries)
+        return HermitianForm._hermitian(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianForm") -> "HermitianForm":
-        return HermitianForm(self.entries - other.entries)
+        return HermitianForm._hermitian(self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianForm":
-        return HermitianForm(self.entries * float(scalar))
+        return HermitianForm._hermitian(self.entries * float(scalar))
 
     __rmul__ = __mul__
 
 
 def eigenvalues(a: HermitianForm) -> np.ndarray:
-    """Ascending real eigenvalues of the form."""
-    return np.linalg.eigvalsh(a.entries)
+    """Ascending real eigenvalues of the form (its cached, read-only spectrum)."""
+    return a.spectrum
 
 
 def default_tolerance(a: HermitianForm) -> float:

@@ -12,9 +12,19 @@ asymptotics ``(log k + gamma)^n / k^n``, and the error-quotient
     eps(k, r, n) = I(k, r, 2n-2)^{1/2} / ( (k (k + 1/r))^{1/2} I(k, r, n) )
 
 which decays like 1/log k and is bounded by sqrt(31/15)/log k once
-k >= e^{5n-5}.  Everything here is arbitrary-precision rational except the
-final square roots and logarithms, which use mpmath with enough guard digits
-(interval arithmetic for the bound comparison).
+k >= e^{5n-5}.
+
+The rational core works in plain integers.  All power sums
+p_m(k) = sum_{s<=k} s^{-m}, m <= m_max, come out of one binary-splitting
+pass over [1, k] as numerators N_m over the shared denominator D^m,
+D = lcm(1..k): merging two halves costs one gcd of their lcms, whatever
+m_max is (Haible & Papanikolaou 1998).  The moment recurrence
+f_j = (1/j) sum_m r p_m f_{j-m} is run on the integers G_j = D^j f_j (each
+division by j is exact), so a result is reduced by a single gcd when its
+``Fraction`` is built.  D^m has about m k log2(e) bits; a request above
+``EXACT_BIT_CEILING`` raises :class:`ResourceLimitError` before any work
+(the CLI exits 3).  Only the final square roots and logarithms use mpmath,
+with enough guard digits (interval arithmetic for the bound comparison).
 """
 
 from __future__ import annotations
@@ -28,8 +38,10 @@ import mpmath
 
 __all__ = [
     "EULER_GAMMA",
+    "EXACT_BIT_CEILING",
     "ResourceLimitError",
     "harmonic",
+    "inverse_square_sum",
     "ikrn_exact",
     "ikrn_bounds",
     "ikrn_asymptotic",
@@ -40,20 +52,28 @@ __all__ = [
 # Euler-Mascheroni constant, 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
 
+# Largest admitted size, in bits, of the shared denominator power D^m_max.
+# epsilon_ratio(10^5, r, 3) needs about 5.8e5 bits; ikrn at k = 3e6, n = 2
+# would need 8.7e6.
+EXACT_BIT_CEILING = 1 << 20
+
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an exact enumeration would exceed the configured term ceiling."""
+    """Raised when an exact computation would exceed its cost ceiling."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def harmonic(k: int) -> Fraction:
     """Exact harmonic number H_k = 1 + 1/2 + ... + 1/k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = Fraction(0)
-    for s in range(1, k + 1):
-        total += Fraction(1, s)
-    return total
+    d, (n1,) = _power_numerators(k, 1)
+    return Fraction(n1, d)
+
+
+def inverse_square_sum(k: int) -> float:
+    """sum_{s<=k} 1/s^2 in floating point, summed with math.fsum."""
+    return math.fsum(1.0 / s**2 for s in range(1, k + 1))
 
 
 def _rising(a: int, n: int) -> int:
@@ -64,15 +84,66 @@ def _rising(a: int, n: int) -> int:
     return out
 
 
+def _power_numerators(k: int, m_max: int) -> tuple[int, list]:
+    """(D, [N_1, ..., N_mmax]) with p_m(k) = N_m / D^m and D = lcm(1..k)."""
+    bits = m_max * k * math.log2(math.e)  # log lcm(1..k) ~ k
+    if bits > EXACT_BIT_CEILING:
+        raise ResourceLimitError(
+            f"exact power sums to order {m_max} at k={k} need about "
+            f"{bits:.3g} bits, above the ceiling of {EXACT_BIT_CEILING}")
+    return _split(1, k + 1, m_max)
+
+
+def _split(a: int, b: int, m_max: int) -> tuple[int, list]:
+    # sum_{a<=s<b} s^{-m} = N_m / d^m with d = lcm(a..b-1); depth-first, so
+    # only O(log k) partial results are alive at once
+    if b - a == 1:
+        return a, [1] * m_max
+    mid = (a + b) // 2
+    d1, n1 = _split(a, mid, m_max)
+    d2, n2 = _split(mid, b, m_max)
+    g = math.gcd(d1, d2)
+    e1, e2 = d2 // g, d1 // g
+    out = []
+    p1 = p2 = 1
+    for x, y in zip(n1, n2):
+        p1 *= e1
+        p2 *= e2
+        out.append(x * p1 + y * p2)
+    return d1 * e1, out
+
+
+def _moment_numerators(r: int, nums: list) -> list:
+    # G_j = D^j f_j for j = 0..len(nums), where f_j is the coefficient of t^j
+    # in prod_{s<=k} (1 - t/s)^{-r} = exp(r sum_m p_m t^m/m).  Each term of
+    # f_j has a denominator dividing D^j, so G_j is an integer and the
+    # recurrence f_j = (1/j) sum_m r p_m f_{j-m} becomes the exact division
+    # G_j = (r sum_m N_m G_{j-m}) / j.  Scaling by j! D^j instead would also
+    # avoid the division but inflates every G_j by j! and the sum by
+    # (j-1)!/(j-m)!, which costs 50x at k = 2, n = 1000.
+    g = [1]
+    for j in range(1, len(nums) + 1):
+        acc = 0
+        for m in range(1, j + 1):
+            acc += nums[m - 1] * g[j - m]
+        g.append(r * acc // j)
+    return g
+
+
 def ikrn_exact(k: int, r: int, n: int, *, term_ceiling: int = 10**8,
                method: str = "series") -> Fraction:
     """Exact rational value of I(k, r, n).
 
-    ``method="series"`` extracts the coefficient of t^n in
+    ``method="series"`` takes the coefficient of t^n in
     prod_{s<=k} (1 - t/s)^{-r}, which is algebraically identical to summing
-    the weak-composition expansion but costs only O(k n^2) rational
-    operations.  ``method="enumerate"`` performs the literal composition sum
-    (useful as an independent oracle) and is guarded by ``term_ceiling``.
+    the weak-composition expansion.  It runs in integers: the power sums
+    p_m = N_m / D^m (D = lcm(1..k)) from one binary-splitting pass, then
+    G_j = D^j f_j from the integral form of the exponential recurrence, and
+    I = n! G_n / (kr (kr+1) ... (kr+n-1) D^n), reduced once.  It raises
+    :class:`ResourceLimitError` up front when D^n would exceed
+    ``EXACT_BIT_CEILING`` bits.  ``method="enumerate"`` performs the literal
+    composition sum (useful as an independent oracle) and is guarded by
+    ``term_ceiling``.
     """
     if k < 1 or r < 1 or n < 0:
         raise ValueError("require k >= 1, r >= 1, n >= 0")
@@ -81,7 +152,9 @@ def ikrn_exact(k: int, r: int, n: int, *, term_ceiling: int = 10**8,
     if k == 1:
         return Fraction(1)  # x_1 = 1 forced on the zero-dimensional simplex
     if method == "series":
-        return _ikrn_series(k, r, n, _power_sums(k, n))
+        d, nums = _power_numerators(k, n)
+        g = _moment_numerators(r, nums)
+        return Fraction(math.factorial(n) * g[n], _rising(k * r, n) * d**n)
     if method == "enumerate":
         count = math.comb(n + k - 1, n)
         if count > term_ceiling:
@@ -89,33 +162,6 @@ def ikrn_exact(k: int, r: int, n: int, *, term_ceiling: int = 10**8,
                 f"composition count {count} exceeds ceiling {term_ceiling}")
         return _ikrn_enumerate(k, r, n)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _power_sum(k: int, m: int) -> Fraction:
-    # sum_{s=1}^{k} s^{-m}, balanced-tree summation keeps the big-int
-    # denominators from being rebuilt k times
-    terms = [Fraction(1, s**m) for s in range(1, k + 1)]
-    while len(terms) > 1:
-        it = iter(terms)
-        terms = [a + b for a, b in zip(it, it)] + (
-            [terms[-1]] if len(terms) % 2 else [])
-    return terms[0]
-
-
-def _power_sums(k: int, m_max: int) -> dict:
-    """{m: p_m(k)} for m = 1..m_max."""
-    return {m: _power_sum(k, m) for m in range(1, m_max + 1)}
-
-
-def _ikrn_series(k: int, r: int, n: int, p: dict) -> Fraction:
-    # coefficient of t^n in prod_{s=1}^{k} (1 - t/s)^{-r} = exp(r sum_m p_m t^m/m)
-    # with power sums p_m = sum_s s^{-m}, via the exponential recurrence
-    # f_j = (1/j) sum_{m=1}^{j} r p_m f_{j-m}; ``p`` holds p_m for at least m <= n
-    f = [Fraction(1)]
-    for j in range(1, n + 1):
-        f.append(sum(r * p[m] * f[j - m] for m in range(1, j + 1)) / j)
-    prefactor = Fraction(math.factorial(n), _rising(k * r, n))
-    return prefactor * f[n]
 
 
 def _ikrn_enumerate(k: int, r: int, n: int) -> Fraction:
@@ -187,12 +233,15 @@ def epsilon_ratio(k: int, r: int, n: int) -> EpsilonRatio:
     """Exact quotient I(k,r,2n-2)^{1/2} / ((k(k+1/r))^{1/2} I(k,r,n)) vs sqrt(31/15)/log k."""
     if n < 1 or k < 2:
         raise ValueError("require n >= 1 and k >= 2")
-    # both moments share the power sums p_m(k), m <= max(2n-2, n)
-    p = _power_sums(k, max(2 * n - 2, n))
-    i_2n2 = _ikrn_series(k, r, 2 * n - 2, p)
-    i_n = _ikrn_series(k, r, n, p)
-    denom = Fraction(k) * (Fraction(k) + Fraction(1, r))
-    exact_sq = i_2n2 / (denom * i_n**2)
+    # both moments share the power sums p_m(k), m <= max(2n-2, n); with
+    # I(k,r,j) = j! G_j / (rising(kr, j) D^j) and k (k + 1/r) = k (kr+1)/r
+    # the quotient is one integer ratio, reduced by a single gcd
+    d, nums = _power_numerators(k, max(2 * n - 2, n))
+    g = _moment_numerators(r, nums)
+    kr = k * r
+    exact_sq = Fraction(
+        math.factorial(2 * n - 2) * g[2 * n - 2] * d * d * _rising(kr, n) ** 2 * r,
+        _rising(kr, 2 * n - 2) * k * (kr + 1) * (math.factorial(n) * g[n]) ** 2)
 
     with mpmath.workdps(40):
         exact = mpmath.sqrt(mpmath.mpf(exact_sq.numerator) / exact_sq.denominator)

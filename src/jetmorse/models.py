@@ -34,6 +34,7 @@ import numpy as np
 from .curvature import (CurvatureTensor, TwistForm, eta, sup_norm, tensor_from_json,
                         trace_free)
 from .hermitian import HermitianForm, operator_norm
+from .jet_combinatorics import inverse_square_sum
 from .morse_mc import ManifoldPoint, ManifoldSample
 from .rng import stream
 
@@ -259,7 +260,7 @@ def j_bound(M: ManifoldSample, k: int, restarts: int = 8, seed: int = 0) -> floa
     n, r = M.n, M.r
     if n == 1:
         return 0.0
-    partial = math.fsum(1.0 / s**2 for s in range(1, k + 1))
+    partial = inverse_square_sum(k)
     terms = []
     for p in M.points:
         tf = trace_free(p.tensor)

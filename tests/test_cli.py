@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,21 @@ def test_morse_outputs_and_rerun_identical(tmp_path):
     assert header == ("k,q,reduced_estimate,std_error,eta_integral,"
                       "normalized_deviation,degenerate_fraction,"
                       "log_full_constant")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ikrn", "--k", "3000000", "--r", "1", "--n", "2"],
+    ["ikrn", "--k", "3000000", "--r", "1", "--n", "2", "--mode", "bounds"],
+    ["ci-threshold", "--n", "2", "--s", "1", "--degrees", "15", "--a", "1",
+     "--k", "3000000"],
+])
+def test_exact_guard_exit3_fast(argv, capsys):
+    # k = 3e6 would need integers of ~8.7e6 bits (n = 2); the cost guard
+    # refuses before any work
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_morse_malformed_model_exit2(tmp_path):

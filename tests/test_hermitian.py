@@ -72,6 +72,40 @@ def test_det_diff_bound_equal_forms():
     assert det_diff_bound_holds(a, a, 1)
 
 
+def test_spectrum_cached_and_read_only():
+    a = _random_form(3, stream(7, "spectrum"))
+    lam = eigenvalues(a)
+    assert lam is a.spectrum is eigenvalues(a)
+    np.testing.assert_array_equal(lam, np.linalg.eigvalsh(a.entries))
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+
+
+def test_det_diff_eigensolves_each_form_once(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+    rng = stream(8, "det-diff-count")
+    dim = 3
+    a, b = _random_form(dim, rng), _random_form(dim, rng)
+    for q in range(dim + 1):
+        assert det_diff_bound_holds(a, b, q)
+    # a and b once for the pair, plus the new form a - b in every call
+    assert len(calls) == 2 + (dim + 1)
+
+
+def test_arithmetic_matches_validated_constructor():
+    rng = stream(9, "form-arith")
+    a, b = _random_form(3, rng), _random_form(3, rng)
+    for got, raw in [(a + b, a.entries + b.entries), (a - b, a.entries - b.entries),
+                     (a * -2.5, a.entries * -2.5), (0.5 * a, a.entries * 0.5)]:
+        assert isinstance(got, HermitianForm)
+        np.testing.assert_array_equal(got.entries, HermitianForm(raw).entries)
+        assert not got.entries.flags.writeable
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        a * math.inf
+
+
 def test_sphere_second_moment_closed_form():
     # diag(1, -1): moments sum lam^2 = 2, (sum lam)^2 = 0, n(n+1) = 6
     a = HermitianForm.diagonal([1.0, -1.0])

@@ -1,13 +1,17 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetmorse import jet_combinatorics
 from jetmorse.jet_combinatorics import (EULER_GAMMA, EpsilonRatio,
-                                        ResourceLimitError, epsilon_ratio,
-                                        harmonic, ikrn_asymptotic, ikrn_bounds,
-                                        ikrn_exact)
+                                        ResourceLimitError, _power_numerators,
+                                        epsilon_ratio, harmonic, ikrn_asymptotic,
+                                        ikrn_bounds, ikrn_exact, inverse_square_sum)
 from jetmorse.measures import sample_nu_batch
 from jetmorse.rng import stream
 
@@ -25,6 +29,13 @@ def test_ikrn_small_values():
     assert ikrn_exact(1, 3, 5) == 1
     assert ikrn_exact(2, 1, 1) == Fraction(3, 4)
     assert ikrn_exact(3, 1, 0) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_ikrn_k2_closed_form(n):
+    # r = 1, k = 2: x_1 is uniform on [0, 1], so I = int_0^1 ((1+x)/2)^n dx;
+    # n = 1000 runs the moment recurrence far beyond the orders used elsewhere
+    assert ikrn_exact(2, 1, n) == Fraction(2 ** (n + 1) - 1, (n + 1) * 2**n)
 
 
 def test_ikrn_first_moment_is_harmonic_over_k():
@@ -103,3 +114,85 @@ def test_epsilon_ratio_rejects_degenerate():
         epsilon_ratio(1, 1, 2)
     with pytest.raises(ValueError):
         epsilon_ratio(10, 1, 0)
+
+
+def _fraction_tree_sum(k, m):
+    # independent oracle for p_m(k) = sum_{s<=k} s^{-m}: balanced pairwise
+    # summation of reduced Fractions
+    terms = [Fraction(1, s**m) for s in range(1, k + 1)]
+    while len(terms) > 1:
+        it = iter(terms)
+        terms = [a + b for a, b in zip(it, it)] + (
+            [terms[-1]] if len(terms) % 2 else [])
+    return terms[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 16, 97, 128, 1001, 3000])
+def test_power_numerators_match_fraction_oracle(k):
+    d, nums = _power_numerators(k, 6)
+    assert d == math.lcm(*range(1, k + 1))
+    assert len(nums) == 6
+    for m, num in enumerate(nums, start=1):
+        assert Fraction(num, d**m) == _fraction_tree_sum(k, m)
+
+
+def test_epsilon_ratio_at_e10_pinned():
+    # blake2b of exact_squared at k = ceil(e^10), n = 3, as computed by the
+    # reducing Fraction implementation this integer path replaced
+    v = epsilon_ratio(22027, 1, 3)
+    digest = hashlib.blake2b(f"{v.exact_squared.numerator:x}/{v.exact_squared.denominator:x}"
+                             .encode(), digest_size=16).hexdigest()
+    assert digest == "6f2da1adb3ca73c87ede7e2476fe0ed8"
+    assert v.within_bound and 0 < v.exact <= v.paper_bound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 5), r=st.integers(1, 3), n=st.integers(0, 4))
+def test_series_matches_enumeration_property(k, r, n):
+    assert ikrn_exact(k, r, n) == ikrn_exact(k, r, n, method="enumerate")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 400), r=st.integers(1, 4), n=st.integers(1, 6))
+def test_bounds_contain_exact_property(k, r, n):
+    lo, hi = ikrn_bounds(k, r, n)
+    assert lo <= ikrn_exact(k, r, n) <= hi
+
+
+def test_guard_rejects_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("binary splitting ran past the guard")
+
+    monkeypatch.setattr(jet_combinatorics, "_split", fail)
+    with pytest.raises(ResourceLimitError):
+        ikrn_exact(3 * 10**6, 1, 2)
+    with pytest.raises(ResourceLimitError):
+        epsilon_ratio(3 * 10**5, 1, 3)
+    with pytest.raises(ResourceLimitError):
+        harmonic(10**7)
+    with pytest.raises(ResourceLimitError):
+        ikrn_bounds(10**7, 1, 2)
+
+
+def test_guard_admits_epsilon_at_1e5(monkeypatch):
+    # the guard passes epsilon_ratio(10^5, r, 3); stop at the work it admits
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(jet_combinatorics, "_split", admitted)
+    for r in (1, 3):
+        with pytest.raises(Admitted):
+            epsilon_ratio(10**5, r, 3)
+
+
+def test_harmonic_cache_is_bounded():
+    assert harmonic.cache_info().maxsize is not None
+
+
+def test_inverse_square_sum():
+    assert inverse_square_sum(1) == 1.0
+    assert inverse_square_sum(3) == math.fsum([1.0, 0.25, 1.0 / 9])
+    assert abs(inverse_square_sum(10**5) - math.pi**2 / 6) < 1.1e-5
