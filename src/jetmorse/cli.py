@@ -29,7 +29,7 @@ from .jet_combinatorics import (ResourceLimitError, epsilon_ratio, ikrn_asymptot
                                 ikrn_bounds, ikrn_exact, inverse_square_sum)
 from .measures import sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
-from .morse_mc import convergence_study, default_workers
+from .morse_mc import _fmt, convergence_study
 from .rng import stream
 from .wps import WeightSpec, integrate_fiber, volume_closed_form
 
@@ -39,12 +39,18 @@ EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _rat(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _ints(text: str) -> list:
@@ -197,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: JETMORSE_THREADS or all cores)")
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker threads, at most the number of cores "
+                        "(default: JETMORSE_THREADS or all cores)")
     p.set_defaults(func=cmd_morse)
 
     p = sub.add_parser(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import HermitianForm, sphere_second_moment, trace_free_part
+from .hermitian import _SYM_TOL, HermitianForm, sphere_second_moment, trace_free_part
 from .jet_combinatorics import harmonic
 from .measures import sample_sphere_batch
 from .rng import stream
@@ -47,9 +47,6 @@ __all__ = [
     "tensor_to_json",
     "tensor_from_json",
 ]
-
-_SYM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CurvatureTensor:

@@ -21,9 +21,10 @@ D = lcm(1..k): merging two halves costs one gcd of their lcms, whatever
 m_max is (Haible & Papanikolaou 1998).  The moment recurrence
 f_j = (1/j) sum_m r p_m f_{j-m} is run on the integers G_j = D^j f_j (each
 division by j is exact), so a result is reduced by a single gcd when its
-``Fraction`` is built.  D^m has about m k log2(e) bits; a request above
-``EXACT_BIT_CEILING`` raises :class:`ResourceLimitError` before any work
-(the CLI exits 3).  Only the final square roots and logarithms use mpmath,
+``Fraction`` is built.  D^m has about m k log2(e) bits, and the recurrence
+to order m makes about m^2/2 products of integers that large; a request
+above ``EXACT_BIT_CEILING`` or ``EXACT_WORK_CEILING`` raises
+:class:`ResourceLimitError` before any work (the CLI exits 3).  Only the final square roots and logarithms use mpmath,
 with enough guard digits (interval arithmetic for the bound comparison).
 """
 
@@ -39,6 +40,7 @@ import mpmath
 __all__ = [
     "EULER_GAMMA",
     "EXACT_BIT_CEILING",
+    "EXACT_WORK_CEILING",
     "ResourceLimitError",
     "harmonic",
     "inverse_square_sum",
@@ -56,6 +58,13 @@ EULER_GAMMA = 0.57721566490153286061
 # epsilon_ratio(10^5, r, 3) needs about 5.8e5 bits; ikrn at k = 3e6, n = 2
 # would need 8.7e6.
 EXACT_BIT_CEILING = 1 << 20
+
+# Largest admitted work of the moment recurrence to order m: about m^2/2
+# products of integers of up to m k log2(e) bits, each costing about
+# bits^log2(3) (CPython multiplies large integers by Karatsuba).
+# ikrn_exact(2, 1, 1000) needs 1.5e11 and takes 0.4 s; ikrn_exact(2, 1, 4000)
+# would need 2.2e13 and take 23 s; k = 2 reaches the ceiling near n = 1750.
+EXACT_WORK_CEILING = 1 << 40
 
 
 class ResourceLimitError(RuntimeError):
@@ -91,6 +100,12 @@ def _power_numerators(k: int, m_max: int) -> tuple[int, list]:
         raise ResourceLimitError(
             f"exact power sums to order {m_max} at k={k} need about "
             f"{bits:.3g} bits, above the ceiling of {EXACT_BIT_CEILING}")
+    work = m_max * m_max / 2 * bits ** math.log2(3)
+    if work > EXACT_WORK_CEILING:
+        raise ResourceLimitError(
+            f"the exact moment recurrence to order {m_max} at k={k} needs "
+            f"about {work:.3g} bit operations, above the ceiling of "
+            f"{EXACT_WORK_CEILING}")
     return _split(1, k + 1, m_max)
 
 
@@ -141,9 +156,9 @@ def ikrn_exact(k: int, r: int, n: int, *, term_ceiling: int = 10**8,
     G_j = D^j f_j from the integral form of the exponential recurrence, and
     I = n! G_n / (kr (kr+1) ... (kr+n-1) D^n), reduced once.  It raises
     :class:`ResourceLimitError` up front when D^n would exceed
-    ``EXACT_BIT_CEILING`` bits.  ``method="enumerate"`` performs the literal
-    composition sum (useful as an independent oracle) and is guarded by
-    ``term_ceiling``.
+    ``EXACT_BIT_CEILING`` bits or the recurrence ``EXACT_WORK_CEILING``.
+    ``method="enumerate"`` performs the literal composition sum (useful as
+    an independent oracle) and is guarded by ``term_ceiling``.
     """
     if k < 1 or r < 1 or n < 0:
         raise ValueError("require k >= 1, r >= 1, n >= 0")

@@ -14,10 +14,18 @@ so that normalized_deviation should decay like 1/log k.
 
 Kernel: each chunk of draws is processed once for every k of a study.
 Hermitian matrices are handled in real coordinates (diagonal, then real
-and imaginary parts of the upper triangle).  Because x_s = g_s / G_k, the
-fiber matrix of g_k is (1/G_k) sum_{s<=k} (g_s/s) u_s u_s*, so a single
-prefix pass over s yields it for all k, and one GEMM with the tensor,
-mapped to those coordinates, gives all forms.  The index of a form with
+and imaginary parts of the upper triangle).  The draws are standard complex
+Gaussian vectors v_s in C^r.  By the polar identity, g_s = |v_s|^2 is a
+Gamma(r) variable independent of u_s = v_s / |v_s|, which is uniform on the
+unit sphere, and g_s u_s u_s* = v_s v_s*.  With x_s = g_s / G_k and
+G_k = sum_{s<=k} g_s, the fiber matrix of g_k is therefore
+(1/G_k) sum_{s<=k} v_s v_s* / s: one product of the outer-product
+coordinates with a fixed (k_max, 2K) weight matrix gives the weighted sums
+and the traces G_k for all k, and a second product with the tensor, mapped
+to those coordinates, gives all forms.  No gamma draw, no sphere
+normalization and no division by |v_s| is needed.  Products are handed to
+BLAS in blocks small enough to stay on the calling thread, so that BLAS
+threads do not compete with the point pool.  The index of a form with
 n <= 3 is read off its leading principal minors (Sylvester's law of
 inertia, Jacobi's sign rule).  A screen with explicit rounding margins
 accepts a row only when |det| proves that no eigenvalue lies in the band
@@ -28,10 +36,11 @@ the Chan-Golub-LeVeque update, which keeps the variance free of the
 cancellation a sum of squares suffers when the mean dominates.
 
 Determinism: every point gets its own counter-based stream keyed by
-(seed, point id); draws are made in fixed-size chunks at the largest k of a
-study and re-used for smaller k (common random numbers: normalizing the
-first k of the k_max gamma variables is again an exact symmetric Dirichlet
-draw).  Aggregation over points follows the sample's point order, so the
+(seed, point id); each chunk is one ``standard_normal((m, k_max, 2r))``
+draw at the largest k of a study, re-used for smaller k (common random
+numbers: for every k the first k of the k_max vectors give an exact
+symmetric Dirichlet(r, ..., r) point x and independent uniform sphere
+vectors).  Aggregation over points follows the sample's point order, so the
 result is bit-identical for any worker count.
 """
 
@@ -42,16 +51,17 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-# g_k_batch is not called here: it is the reference assembly the fused kernel
-# is tested against, and bench/tracing.py wraps it by name on this module.
+# g_k_batch and sample_sphere_batch are not called here: bench/tracing.py
+# wraps both by name on this module.
 from .curvature import CurvatureTensor, TwistForm, eta, g_k_batch  # noqa: F401
 from .hermitian import HermitianForm, signed_index_det
 from .jet_combinatorics import harmonic, ikrn_exact
-from .measures import sample_sphere_batch
+from .measures import sample_sphere_batch  # noqa: F401
 from .rng import stream
 
 __all__ = [
@@ -73,10 +83,17 @@ _CHUNK = 16384
 
 
 def default_workers() -> int:
+    """Worker count from ``JETMORSE_THREADS``, or the number of CPUs when unset."""
     env = os.environ.get("JETMORSE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"JETMORSE_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -195,15 +212,22 @@ class MorseReport:
 
 def eta_index_integral(M: ManifoldSample, q: int, tol: float) -> float:
     """Quadrature of the limiting index integral: sum_p w_p 1_{eta,q} det(eta + twist)."""
-    if not 0 <= q <= M.n:
+    return _eta_index_integrals(M, [q], tol)[q]
+
+
+def _eta_index_integrals(M: ManifoldSample, q_list: Sequence[int], tol: float) -> dict:
+    """:func:`eta_index_integral` for every q of q_list, from one spectrum per point."""
+    if any(not 0 <= q <= M.n for q in q_list):
         raise ValueError("q must lie in [0, n]")
-    terms = []
+    forms = []
     for p in M.points:
         form = eta(p.tensor)
         if p.twist is not None:
             form = HermitianForm(form.entries + p.twist.theta_F.entries)
-        terms.append(p.weight * signed_index_det(form, q, tol))
-    return math.fsum(terms)
+        forms.append(form)
+    return {q: math.fsum(p.weight * signed_index_det(form, q, tol)
+                         for p, form in zip(M.points, forms))
+            for q in q_list}
 
 
 def full_morse_constant(n: int, k: int, r: int) -> tuple[Fraction, float]:
@@ -232,14 +256,22 @@ def twist_delta(k: int, r: int) -> Fraction:
 _SCREEN_EPS = 64 * np.finfo(float).eps
 
 
+@lru_cache(maxsize=16)
+def _triu_pairs(d: int) -> tuple:
+    """Row and column indices of the strict upper triangle of a d x d matrix."""
+    pairs = np.triu_indices(d, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def _herm_coords(a: np.ndarray) -> np.ndarray:
     """Real coordinates (..., d*d) of hermitian matrices (..., d, d).
 
     The diagonal comes first, then the real and then the imaginary parts of
     the strict upper triangle in row-major order.
     """
-    d = a.shape[-1]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _triu_pairs(a.shape[-1])
     off = a[..., iu, ju]
     return np.concatenate([np.diagonal(a, axis1=-2, axis2=-1).real,
                            off.real, off.imag], axis=-1)
@@ -247,7 +279,7 @@ def _herm_coords(a: np.ndarray) -> np.ndarray:
 
 def _herm_matrices(f: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`_herm_coords`: (..., d*d) coordinates to (..., d, d)."""
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _triu_pairs(d)
     p = iu.size
     a = np.zeros(f.shape[:-1] + (d, d), dtype=complex)
     diag = np.arange(d)
@@ -258,88 +290,141 @@ def _herm_matrices(f: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=16)
+def _herm_basis(d: int) -> np.ndarray:
+    """(d*d, d*d) complex: row x is the flattened matrix with coordinates e_x."""
+    basis = _herm_matrices(np.eye(d * d), d).reshape(d * d, d * d)
+    basis.setflags(write=False)
+    return basis
+
+
 def _outer_coords(u: np.ndarray) -> np.ndarray:
     """Coordinates (r*r, ...) of the hermitian outer products u u* of (..., r) vectors.
 
     The coordinate axis comes first, so that each coordinate is one
-    contiguous plane; the planes are filled in place, since fresh large
-    temporaries cost more than the arithmetic.
+    contiguous plane.  The diagonal planes are filled in place; each pair
+    above the diagonal takes one complex product u_a conj(u_b).
     """
     r = u.shape[-1]
-    re, im = np.moveaxis(u.real, -1, 0), np.moveaxis(u.imag, -1, 0)
+    planes = np.moveaxis(u, -1, 0)
     out = np.empty((r * r,) + u.shape[:-1])
     for a in range(r):
-        np.multiply(re[a], re[a], out=out[a])
-        out[a] += im[a] * im[a]
-    iu, ju = np.triu_indices(r, 1)
+        np.multiply(planes[a].real, planes[a].real, out=out[a])
+        out[a] += planes[a].imag ** 2
+    iu, ju = _triu_pairs(r)
     for i, (a, b) in enumerate(zip(iu, ju), start=r):
-        np.multiply(re[a], re[b], out=out[i])
-        out[i] += im[a] * im[b]
-        np.multiply(im[a], re[b], out=out[i + iu.size])
-        out[i + iu.size] -= re[a] * im[b]
+        z = planes[a] * planes[b].conj()
+        out[i] = z.real
+        out[i + iu.size] = z.imag
     return out
 
 
 def _tensor_map(t: CurvatureTensor) -> np.ndarray:
     """(r*r, n*n) real matrix of H -> sum_ab c[i,j,a,b] H[a,b] in coordinates."""
-    basis = _herm_matrices(np.eye(t.r * t.r), t.r)
-    return _herm_coords(np.einsum("ijab,xab->xij", t.c, basis))
+    n, r = t.n, t.r
+    images = _herm_basis(r) @ t.c.reshape(n * n, r * r).T
+    return _herm_coords(images.reshape(r * r, n, n))
 
 
-def _chunk_forms(point: ManifoldPoint, g: np.ndarray, u: np.ndarray,
+# Largest matrix product, in multiply-adds, handed to BLAS in one call.
+# OpenBLAS runs products above 2^18 multiply-adds on its own threads, which
+# then compete with the point pool for the same cores.
+_BLAS_BLOCK = 1 << 18
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in blocks small enough for BLAS to keep each on the calling thread."""
+    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+    if rows * inner * cols <= _BLAS_BLOCK:
+        return a @ b
+    out = np.empty((rows, cols))
+    if rows >= cols:
+        step = max(1, _BLAS_BLOCK // (inner * cols))
+        for lo in range(0, rows, step):
+            np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+    else:
+        step = max(1, _BLAS_BLOCK // (inner * rows))
+        for lo in range(0, cols, step):
+            np.matmul(a, b[:, lo:lo + step], out=out[:, lo:lo + step])
+    return out
+
+
+@lru_cache(maxsize=64)
+def _prefix_weights(k_list: tuple) -> np.ndarray:
+    """(k_max, 2K) read-only matrix of the prefix sums over s of a study's k.
+
+    Column j sums s <= k_j with weight 1/s, column K + j sums the same s
+    with weight 1.
+    """
+    s = np.arange(1, k_list[-1] + 1)[:, None]
+    inside = (s <= np.array(k_list)).astype(float)
+    w = np.concatenate([inside / s, inside], axis=1)
+    w.setflags(write=False)
+    return w
+
+
+def _chunk_forms(point: ManifoldPoint, v: np.ndarray,
                  k_list: Sequence[int]) -> np.ndarray:
     """Coordinates of the sampled form at every k of one draw, shape (n*n, len(k_list), m).
 
-    ``g`` (m, k_max) holds the gamma variables and ``u`` (m, k_max, r) the
-    sphere vectors, with k_max = max(k_list).  Since x_s = g_s / G_k, the
-    fiber matrix of g_k is (1/G_k) sum_{s<=k} (g_s/s) u_s u_s*: one prefix
-    pass over s serves every k (each segment between consecutive k is summed
-    once, then the segments are cumulated), and one GEMM applies the tensor.
+    ``v`` (m, k_max, r) holds standard complex Gaussian vectors, with
+    k_max = max(k_list).  By the polar identity, g_s = |v_s|^2 is a
+    Gamma(r) variable independent of u_s = v_s / |v_s|, which is uniform on
+    the unit sphere, and g_s u_s u_s* = v_s v_s*.  With G_k = sum_{s<=k} g_s
+    and x_s = g_s / G_k, the fiber matrix of g_k is therefore
+    (1/G_k) sum_{s<=k} v_s v_s* / s, and G_k is the trace of the same sum
+    without the 1/s weights.  One product of the outer-product planes with
+    :func:`_prefix_weights` gives both sums for every k, and a second one
+    applies the tensor.
     """
     t = point.tensor
-    k_list = list(k_list)
-    starts = [0] + k_list[:-1]
-    outer = _outer_coords(u)
-    outer *= g / np.arange(1, g.shape[1] + 1)
-    fiber = np.cumsum(np.add.reduceat(outer, starts, axis=2), axis=2)
-    total = np.cumsum(np.add.reduceat(g, starts, axis=1), axis=1)
-    scale = np.ones(len(k_list))
+    k_list = tuple(k_list)
+    n_k, (m, k_max, r) = len(k_list), v.shape
+    sums = _matmul(_outer_coords(v).reshape(-1, k_max), _prefix_weights(k_list))
+    sums = sums.reshape(r * r, m, 2 * n_k)
+    total = sums[:r, :, n_k:].sum(axis=0)
     if point.twist is not None:
-        scale = np.array([k * t.r / float(harmonic(k)) for k in k_list])
-    fiber *= scale / total
-    rows = fiber.transpose(0, 2, 1).reshape(t.r * t.r, -1)
-    forms = (_tensor_map(t).T @ rows).reshape(t.n * t.n, len(k_list), -1)
+        total /= [k * r / float(harmonic(k)) for k in k_list]
+    fiber = (sums[:, :, :n_k] / total).transpose(0, 2, 1).reshape(r * r, -1)
+    forms = _matmul(_tensor_map(t).T, fiber).reshape(t.n * t.n, n_k, m)
     if point.twist is not None:
         forms += _herm_coords(point.twist.theta_F.entries)[:, None, None]
     return forms
 
 
-def _leading_minors(f: np.ndarray, n: int) -> list:
-    """Leading principal minors D_1..D_n (n <= 3) of forms given in coordinates.
+def _leading_minors(f: np.ndarray, n: int) -> tuple:
+    """Leading principal minors D_1..D_n (n <= 3) of forms in coordinates (n*n, m).
 
-    Each minor comes with the sum of the absolute values of its terms, which
-    bounds its rounding error.
+    Returns two (n, m) arrays: the minors, and the sums of the absolute
+    values of their terms, which bound their rounding errors.
     """
-    a = f[:, 0]
-    minors = [(a, np.abs(a))]
+    d = np.empty((n, f.shape[1]))
+    s = np.empty_like(d)
+    a = f[0]
+    d[0] = a
+    np.abs(a, out=s[0])
     if n == 1:
-        return minors
-    b = f[:, 1]
-    ab = a * b
+        return d, s
+    ab = a * f[1]
+    # |f_12|^2, and for n = 3 also |f_13|^2 and |f_23|^2
+    p = f[n:n + n * (n - 1) // 2] ** 2
+    p += f[n + n * (n - 1) // 2:] ** 2
+    np.subtract(ab, p[0], out=d[1])
+    np.abs(ab, out=s[1])
+    s[1] += p[0]
     if n == 2:
-        p = f[:, 2] ** 2 + f[:, 3] ** 2
-        return minors + [(ab - p, np.abs(ab) + p)]
-    c = f[:, 2]
-    x12, x13, x23, y12, y13, y23 = f[:, 3:].T
-    p12 = x12 * x12 + y12 * y12
-    p13 = x13 * x13 + y13 * y13
-    p23 = x23 * x23 + y23 * y23
+        return d, s
+    x12, x13, x23, y12, y13, y23 = f[3:]
     # Re(f12 f23 conj(f13))
     cyc = (x12 * x23 - y12 * y23) * x13 + (x12 * y23 + y12 * x23) * y13
-    det = ab * c + 2 * cyc - a * p23 - b * p13 - c * p12
-    absdet = (np.abs(ab * c) + 2 * np.sqrt(p12 * p13 * p23)
-              + np.abs(a) * p23 + np.abs(b) * p13 + np.abs(c) * p12)
-    return minors + [(ab - p12, np.abs(ab) + p12), (det, absdet)]
+    abc = ab * f[2]
+    # a |f23|^2, b |f13|^2, c |f12|^2
+    dp = f[:3] * p[::-1]
+    np.subtract(abc + 2 * cyc, dp.sum(axis=0), out=d[2])
+    np.abs(abc, out=s[2])
+    s[2] += 2 * np.sqrt(p.prod(axis=0))
+    s[2] += np.abs(dp, out=dp).sum(axis=0)
+    return d, s
 
 
 def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
@@ -356,24 +441,22 @@ def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
     degenerate count are those of the eigenvalues.
     """
     m, n = forms.shape[0], math.isqrt(forms.shape[1])
-    det = np.zeros(m)
-    minus = np.zeros(m, dtype=np.int64)
-    ok = np.zeros(m, dtype=bool)
+    f = forms.T
     if n <= 3:
-        minors = _leading_minors(forms, n)
-        sq = forms * forms
-        fro = np.sqrt(sq[:, :n].sum(axis=1) + 2 * sq[:, n:].sum(axis=1))
-        d_n, abs_n = minors[-1]
-        ok = np.abs(d_n) > ((tol + _SCREEN_EPS * fro) * fro ** (n - 1)
-                            * (1 + _SCREEN_EPS) + _SCREEN_EPS * abs_n)
-        prev = np.zeros(m, dtype=bool)
-        for d_i, abs_i in minors:
-            if d_i is not d_n:
-                ok &= np.abs(d_i) > _SCREEN_EPS * abs_i
-            neg = d_i < 0
-            minus += neg != prev
-            prev = neg
-        det = np.where(ok, d_n, 0.0)
+        d, s = _leading_minors(f, n)
+        sq = f * f
+        fro = np.sqrt(sq[:n].sum(axis=0) + 2 * sq[n:].sum(axis=0))
+        det = d[-1]
+        ok = np.abs(det) > ((tol + _SCREEN_EPS * fro) * fro ** (n - 1)
+                            * (1 + _SCREEN_EPS) + _SCREEN_EPS * s[-1])
+        ok &= (np.abs(d[:-1]) > _SCREEN_EPS * s[:-1]).all(axis=0)
+        # Jacobi: the index is the number of sign changes in 1, D_1, ..., D_n
+        neg = d < 0
+        minus = neg[0] + (neg[1:] != neg[:-1]).sum(axis=0)
+    else:
+        det = np.zeros(m)
+        minus = np.zeros(m, dtype=np.int64)
+        ok = np.zeros(m, dtype=bool)
     rest = np.flatnonzero(~ok)
     if rest.size:
         lam = np.linalg.eigvalsh(_herm_matrices(forms[rest], n))
@@ -381,13 +464,12 @@ def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
         det[rest] = np.prod(lam, axis=1)
         minus[rest] = neg
         ok[rest] = neg + np.sum(lam > tol, axis=1) == n
-    out = []
-    for q in q_list:
-        vals = np.where(ok & (minus == q), det, 0.0)
-        mean = float(vals.mean())
-        dev = vals - mean
-        out.append((mean, float(dev @ dev)))
-    return out, m - int(np.count_nonzero(ok))
+    minus[~ok] = -1
+    vals = np.where(minus == np.array(q_list)[:, None], det, 0.0)
+    mean = vals.mean(axis=1)
+    vals -= mean[:, None]
+    m2 = np.einsum("qi,qi->q", vals, vals)
+    return list(zip(mean.tolist(), m2.tolist())), m - int(np.count_nonzero(ok))
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -412,9 +494,8 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
-        g = rng.gamma(shape=r, size=(m, k_max))
-        u = sample_sphere_batch(r, (m, k_max), rng)
-        forms = _chunk_forms(point, g, u, k_list)
+        v = rng.standard_normal((m, k_max, 2 * r)).view(complex)
+        forms = _chunk_forms(point, v, k_list)
         for j, k in enumerate(k_list):
             stats, d = _index_stats(forms[:, j].T, q_list, tol)
             degen[k] += d
@@ -431,7 +512,11 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
         raise ValueError("tol must be >= 0")
     if min(k_list) < 1:
         raise ValueError("k must be >= 1")
-    workers = min(workers or default_workers(), len(M.points))
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1, len(M.points))
     args = (k_list, q_list, n_samples, seed, tol)
     if workers == 1:
         results = [_point_study(p, *args) for p in M.points]
@@ -495,7 +580,7 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
         raise ValueError("n_samples must be >= 2")
     n, r = M.n, M.r
     est, se, degen = _run_points(M, k_list, q_list, n_samples, seed, tol, workers)
-    eta_int = {q: eta_index_integral(M, q, tol) for q in q_list}
+    eta_int = _eta_index_integrals(M, q_list, tol)
     rows = []
     decay_const = {}
     for k in k_list:

@@ -171,3 +171,31 @@ def test_morse_fermat_zero_mix_exit4(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in err and "Gram" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_morse_bad_workers_flag_exit2(value):
+    rc, _, err = _run(["morse", "--model", MODEL, "--k-list", "2",
+                       "--samples", "10", "--seed", "1", "--out", "unused",
+                       f"--workers={value}"])
+    assert rc == 2
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_morse_bad_thread_env_exit2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("JETMORSE_THREADS", value)
+    rc = main(["morse", "--model", MODEL, "--k-list", "2", "--samples", "10",
+               "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "JETMORSE_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_exact_work_guard_exit3_fast(capsys):
+    # k = 2, n = 4000 is small in bits but its moment recurrence would run
+    # for tens of seconds
+    t0 = time.perf_counter()
+    assert main(["ikrn", "--k", "2", "--r", "1", "--n", "4000", "--mode", "exact"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "ceiling" in capsys.readouterr().err

@@ -196,3 +196,14 @@ def test_inverse_square_sum():
     assert inverse_square_sum(1) == 1.0
     assert inverse_square_sum(3) == math.fsum([1.0, 0.25, 1.0 / 9])
     assert abs(inverse_square_sum(10**5) - math.pi**2 / 6) < 1.1e-5
+
+
+def test_work_guard_rejects_long_recurrence(monkeypatch):
+    def fail(*args):
+        raise AssertionError("binary splitting ran past the guard")
+
+    monkeypatch.setattr(jet_combinatorics, "_split", fail)
+    with pytest.raises(ResourceLimitError, match="recurrence"):
+        ikrn_exact(2, 1, 4000)
+    with pytest.raises(ResourceLimitError, match="recurrence"):
+        ikrn_exact(10, 1, 1100)

@@ -9,7 +9,6 @@ from jetmorse import morse_mc
 from jetmorse.curvature import CurvatureTensor, TwistForm, g_k_batch, trace_free
 from jetmorse.hermitian import HermitianForm
 from jetmorse.jet_combinatorics import harmonic, ikrn_exact
-from jetmorse.measures import sample_sphere_batch
 from jetmorse.models import fubini_study_tensor, random_tensor
 from jetmorse.morse_mc import (ManifoldPoint, ManifoldSample, MorseReport,
                                MorseRow, convergence_study, eta_index_integral,
@@ -87,9 +86,9 @@ def test_std_error_matches_two_pass_when_mean_dominates():
     point = ManifoldPoint("p", random_tensor(2, 2, 1e-4, 12), 1.0, twist)
     m, k = 16000, 3
     est, se = reduced_morse_integral(_single(point.tensor, twist), k, 0, m, 8, 1e-9)
-    rng = stream(8, "morse", "p")
-    g = rng.gamma(shape=2, size=(m, k))
-    u = sample_sphere_batch(2, (m, k), rng)
+    v = stream(8, "morse", "p").standard_normal((m, k, 4)).view(complex)
+    g = np.sum(np.abs(v) ** 2, axis=-1)
+    u = v / np.sqrt(g)[..., None]
     x = g / g.sum(axis=1, keepdims=True)
     forms = k * 2 / float(harmonic(k)) * g_k_batch(point.tensor, x, u) + twist.theta_F.entries
     vals = np.prod(np.linalg.eigvalsh(forms), axis=1)
@@ -257,9 +256,11 @@ def test_fused_kernel_matches_reference(n, r, twisted):
         twist = TwistForm(HermitianForm(0.5 * (a + a.conj().T)))
     point = ManifoldPoint("p", random_tensor(n, r, 1.0, 60 + n + r), 1.0, twist)
     k_list, q_list, m = [1, 3, 7], list(range(n + 1)), 3000
-    g = rng.gamma(shape=r, size=(m, max(k_list)))
-    u = sample_sphere_batch(r, (m, max(k_list)), rng)
-    forms = morse_mc._chunk_forms(point, g, u, k_list)
+    # polar identity: |v_s|^2 ~ Gamma(r) and v_s/|v_s| uniform on the sphere
+    v = rng.standard_normal((m, max(k_list), 2 * r)).view(complex)
+    g = np.sum(np.abs(v) ** 2, axis=-1)
+    u = v / np.sqrt(g)[..., None]
+    forms = morse_mc._chunk_forms(point, v, k_list)
     strict = _reference_chunk(point, g, u, k_list, q_list, 1e-9)
     # a band holding half the smallest eigenvalues at k=3 forces the
     # screen to hand rows to the eigensolve
@@ -276,7 +277,11 @@ def test_fused_kernel_matches_reference(n, r, twisted):
     assert want[3][1] > 0
 
 
-def test_pool_clamped_to_point_count(monkeypatch):
+def _sync_pool(monkeypatch, cpus):
+    """Replace the thread pool by a synchronous fake and fix the CPU count.
+
+    Returns the list of pool sizes requested; no thread is started.
+    """
     seen = []
 
     class SyncPool:
@@ -295,6 +300,12 @@ def test_pool_clamped_to_point_count(monkeypatch):
             return fut
 
     monkeypatch.setattr(morse_mc, "ThreadPoolExecutor", SyncPool)
+    monkeypatch.setattr(morse_mc.os, "cpu_count", lambda: cpus)
+    return seen
+
+
+def test_pool_clamped_to_point_count(monkeypatch):
+    seen = _sync_pool(monkeypatch, 8)
     pts = tuple(ManifoldPoint(f"p{i}", random_tensor(2, 2, 1.0, 70 + i), 1 / 3)
                 for i in range(3))
     M = ManifoldSample(pts)
@@ -305,3 +316,47 @@ def test_pool_clamped_to_point_count(monkeypatch):
     single = _single(random_tensor(2, 2, 1.0, 70))
     reduced_morse_integral(single, 2, 1, 200, 4, 1e-9, workers=64)
     assert seen == [3]
+
+
+def test_pool_clamped_to_cpu_count(monkeypatch):
+    seen = _sync_pool(monkeypatch, 2)
+    pts = tuple(ManifoldPoint(f"p{i}", random_tensor(2, 2, 1.0, 70 + i), 1 / 3)
+                for i in range(3))
+    M = ManifoldSample(pts)
+    pooled = reduced_morse_integral(M, 2, 1, 200, 4, 1e-9, workers=10**6)
+    monkeypatch.setenv("JETMORSE_THREADS", "1000000")
+    assert reduced_morse_integral(M, 2, 1, 200, 4, 1e-9) == pooled
+    assert seen == [2, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_bad_worker_count_rejected(monkeypatch, workers):
+    seen = _sync_pool(monkeypatch, 8)
+    M = _single(random_tensor(2, 2, 1.0, 70))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        reduced_morse_integral(M, 2, 1, 200, 4, 1e-9, workers=workers)
+    assert seen == []
+
+
+@pytest.mark.parametrize("env", ["0", "-3", "two"])
+def test_bad_thread_env_rejected(monkeypatch, env):
+    seen = _sync_pool(monkeypatch, 8)
+    monkeypatch.setenv("JETMORSE_THREADS", env)
+    M = _single(random_tensor(2, 2, 1.0, 70))
+    with pytest.raises(ValueError, match="JETMORSE_THREADS"):
+        reduced_morse_integral(M, 2, 1, 200, 4, 1e-9)
+    assert seen == []
+
+
+def test_tensor_map_matches_einsum_build():
+    # the cached-basis map against a fresh einsum over the basis matrices
+    for n in range(1, 5):
+        for r in range(1, 4):
+            t = random_tensor(n, r, 1.0, 80 + 4 * n + r)
+            basis = morse_mc._herm_matrices(np.eye(r * r), r)
+            want = morse_mc._herm_coords(np.einsum("ijab,xab->xij", t.c, basis))
+            got = morse_mc._tensor_map(t)
+            assert got.shape == (r * r, n * n)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert not morse_mc._herm_basis(2).flags.writeable
+    assert not morse_mc._triu_pairs(3)[0].flags.writeable
