@@ -16,9 +16,15 @@ k >= e^{5n-5}.
 
 The rational core works in plain integers.  All power sums
 p_m(k) = sum_{s<=k} s^{-m}, m <= m_max, come out of one binary-splitting
-pass over [1, k] as numerators N_m over the shared denominator D^m,
+pass over 1..k as numerators N_m over the shared denominator D^m,
 D = lcm(1..k): merging two halves costs one gcd of their lcms, whatever
-m_max is (Haible & Papanikolaou 1998).  The moment recurrence
+m_max is (Haible & Papanikolaou 1998).  The leaves are taken in order of
+their largest prime factor, not in the order 1..k.  A
+run of consecutive integers near k has an lcm close to the product of its
+members, so in natural order the partial sums of a middle level together
+hold about ln k times the bits of D^m; in largest-prime-factor order each
+prime above sqrt(k) divides the lcm of a single subtree per level, and
+every level stays near the size of D^m.  The moment recurrence
 f_j = (1/j) sum_m r p_m f_{j-m} is run on the integers G_j = D^j f_j (each
 division by j is exact), so a result is reduced by a single gcd when its
 ``Fraction`` is built.  D^m has about m k log2(e) bits, and the recurrence
@@ -31,6 +37,7 @@ with enough guard digits (interval arithmetic for the bound comparison).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,7 +101,15 @@ def _rising(a: int, n: int) -> int:
 
 
 def _power_numerators(k: int, m_max: int) -> tuple[int, list]:
-    """(D, [N_1, ..., N_mmax]) with p_m(k) = N_m / D^m and D = lcm(1..k)."""
+    """(D, [N_1, ..., N_mmax]) with p_m(k) = N_m / D^m and D = lcm(1..k).
+
+    After the size and work guards, a sieve orders 1..k by largest prime
+    factor (ties ascending) and the binary split runs over that order.  A
+    prime p > sqrt(k) then divides the lcm of one subtree per level, not of
+    every subtree that holds a multiple of p, so the partial sums of a level
+    hold about the bits of D^m in all, not ln k times as many.  (D, N) is
+    unique, so the order changes no value.
+    """
     bits = m_max * k * math.log2(math.e)  # log lcm(1..k) ~ k
     if bits > EXACT_BIT_CEILING:
         raise ResourceLimitError(
@@ -106,17 +121,22 @@ def _power_numerators(k: int, m_max: int) -> tuple[int, list]:
             f"the exact moment recurrence to order {m_max} at k={k} needs "
             f"about {work:.3g} bit operations, above the ceiling of "
             f"{EXACT_WORK_CEILING}")
-    return _split(1, k + 1, m_max)
+    lpf = list(range(k + 1))  # largest prime factor of s, 1 for s = 1
+    for p in range(2, k // 2 + 1):
+        if lpf[p] == p:  # no smaller prime divides p
+            lpf[2 * p::p] = [p] * (k // p - 1)
+    leaves = sorted(range(1, k + 1), key=lpf.__getitem__)
+    return _split(leaves, 0, k, m_max)
 
 
-def _split(a: int, b: int, m_max: int) -> tuple[int, list]:
-    # sum_{a<=s<b} s^{-m} = N_m / d^m with d = lcm(a..b-1); depth-first, so
-    # only O(log k) partial results are alive at once
+def _split(leaves: Sequence[int], a: int, b: int, m_max: int) -> tuple[int, list]:
+    # sum_{a<=i<b} leaves[i]^{-m} = N_m / d^m with d the lcm of those leaves;
+    # depth-first, so only O(log k) partial results are alive at once
     if b - a == 1:
-        return a, [1] * m_max
+        return leaves[a], [1] * m_max
     mid = (a + b) // 2
-    d1, n1 = _split(a, mid, m_max)
-    d2, n2 = _split(mid, b, m_max)
+    d1, n1 = _split(leaves, a, mid, m_max)
+    d2, n2 = _split(leaves, mid, b, m_max)
     g = math.gcd(d1, d2)
     e1, e2 = d2 // g, d1 // g
     out = []

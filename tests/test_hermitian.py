@@ -1,8 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from jetmorse import morse_mc
+from jetmorse.cli import main
 from jetmorse.hermitian import (HermitianForm, default_tolerance,
                                 det_diff_bound_holds, eigenvalues, operator_norm,
                                 signature, signed_index_det,
@@ -137,3 +140,134 @@ def test_trace_free_part():
     t = trace_free_part(a)
     assert abs(np.trace(t.entries)) < 1e-14
     assert t.entries[0, 0] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -5.0, -0.5e-300])
+def test_bad_tolerance_raises(tol):
+    a = HermitianForm.diagonal([2.0, -1.0, 0.5])
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        signature(a, tol)
+    for q in range(a.dim + 1):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            signed_index_det(a, q, tol)
+
+
+# numpy versions of the spectrum helpers, as they read the ndarray spectrum
+# before the helpers moved to plain Python floats; the oracle for bit equality
+
+def _np_signature(a, tol):
+    lam = a.spectrum
+    plus = int(np.sum(lam > tol))
+    minus = int(np.sum(lam < -tol))
+    return plus, minus, a.dim - plus - minus
+
+
+def _np_signed_index_det(a, q, tol):
+    lam = a.spectrum
+    plus = int(np.sum(lam > tol))
+    minus = int(np.sum(lam < -tol))
+    if minus == q and plus == a.dim - q:
+        return float(np.prod(lam))
+    return 0.0
+
+
+def _np_operator_norm(a):
+    return float(np.abs(a.spectrum).max())
+
+
+def _np_det_diff_bound_holds(a, b, q, slack=1e-9):
+    n = a.dim
+    lhs = abs(_np_signed_index_det(a, q, 0.0) - _np_signed_index_det(b, q, 0.0))
+    na, nb = _np_operator_norm(a), _np_operator_norm(b)
+    diff = _np_operator_norm(a - b)
+    rhs = diff * sum(na**i * nb ** (n - 1 - i) for i in range(n))
+    return lhs <= rhs + slack * max(1.0, rhs)
+
+
+def _bits(x):
+    assert type(x) is float
+    return struct.pack("<d", x)
+
+
+def _edge_forms(rng):
+    forms = [HermitianForm.diagonal(v) for v in (
+        [0.0], [-0.0], [0.0, -0.0], [-0.0, 2.0, -3.0], [0.0, 1.0, -2.0],
+        [2.0, 2.0, -1.0, -1.0], [-4.0, -4.0, -4.0], [1e-300, -1e-300, 5.0])]
+    forms.append(HermitianForm.identity(5))
+    # repeated eigenvalues in a random basis
+    for dim in (2, 4, 6):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u, _ = np.linalg.qr(z)
+        lam = np.repeat([-1.5, 0.0, 2.5], dim)[:dim]
+        m = u @ np.diag(lam) @ u.conj().T
+        forms.append(HermitianForm(0.5 * (m + m.conj().T)))
+    return forms
+
+
+def _helper_cases():
+    rng = stream(10, "spectrum-helpers")
+    forms = _edge_forms(rng)
+    for dim in range(1, 9):
+        for scale in (1e-6, 1.0, 1e6):
+            forms += [_random_form(dim, rng, scale) for _ in range(25)]
+    return forms
+
+
+def test_spectrum_helpers_bit_equal_numpy():
+    for a in _helper_cases():
+        lam = a.spectrum
+        # zero, every eigenvalue's magnitude (the band edge itself) and a default
+        for tol in [0.0, 1e-9, default_tolerance(a)] + [abs(x) for x in lam.tolist()]:
+            assert signature(a, tol) == _np_signature(a, tol)
+            for q in range(a.dim + 1):
+                assert _bits(signed_index_det(a, q, tol)) == _bits(_np_signed_index_det(a, q, tol))
+        assert _bits(operator_norm(a)) == _bits(_np_operator_norm(a))
+
+
+def test_det_diff_verdicts_equal_numpy():
+    forms = _helper_cases()
+    by_dim = {}
+    for f in forms:
+        by_dim.setdefault(f.dim, []).append(f)
+    checked = 0
+    verdicts = set()
+    for group in by_dim.values():
+        pairs = list(zip(group, group[1:] + group[:1])) + [(f, f) for f in group]
+        for a, b in pairs:
+            for q in range(a.dim + 1):
+                # negative slack moves the comparison onto both sides of its edge
+                for slack in (1e-9, 0.0, -0.5):
+                    got = det_diff_bound_holds(a, b, q, slack)
+                    assert got == _np_det_diff_bound_holds(a, b, q, slack)
+                    verdicts.add(got)
+                    checked += 1
+    assert verdicts == {True, False} and checked > 5000
+
+
+def test_det_diff_rejects_overflowing_difference():
+    # finite forms whose difference overflows: 0.95 max - (-0.95 max) = inf
+    a = HermitianForm.diagonal([np.finfo(float).max / 2, 1.0]) * 1.9
+    b = a * -1.0
+    assert np.isfinite(a.entries).all() and np.isfinite(b.entries).all()
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        det_diff_bound_holds(a, b, 0)
+    with pytest.raises(ValueError, match="dimension"):
+        det_diff_bound_holds(a, HermitianForm.identity(3), 0)
+    with pytest.raises(ValueError, match="q must"):
+        det_diff_bound_holds(a, a, 3)
+
+
+def test_morse_output_matches_numpy_index_det(tmp_path, monkeypatch):
+    # eta_integral goes through signed_index_det; the README model's report
+    # must keep every byte it had with the numpy reductions
+    model = '{"type":"random","n":2,"r":2,"points":4,"scale":1.0,"seed":9}'
+
+    def run(tag):
+        out = str(tmp_path / tag)
+        assert main(["morse", "--model", model, "--k-list", "4,8,16", "--q", "all",
+                     "--samples", "4000", "--seed", "3", "--out", out]) == 0
+        return [open(out + ext, "rb").read() for ext in (".csv", ".json")]
+
+    got = run("floats")
+    monkeypatch.setattr(morse_mc, "signed_index_det", _np_signed_index_det)
+    assert got == run("numpy")

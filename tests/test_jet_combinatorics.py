@@ -136,6 +136,62 @@ def test_power_numerators_match_fraction_oracle(k):
         assert Fraction(num, d**m) == _fraction_tree_sum(k, m)
 
 
+def _contiguous_split(a, b, m_max):
+    # the split over the leaves a, a+1, ..., b-1 in natural order: the oracle
+    # for the largest-prime-factor order, which must give the same (D, N)
+    if b - a == 1:
+        return a, [1] * m_max
+    mid = (a + b) // 2
+    d1, n1 = _contiguous_split(a, mid, m_max)
+    d2, n2 = _contiguous_split(mid, b, m_max)
+    g = math.gcd(d1, d2)
+    e1, e2 = d2 // g, d1 // g
+    out = []
+    p1 = p2 = 1
+    for x, y in zip(n1, n2):
+        p1 *= e1
+        p2 *= e2
+        out.append(x * p1 + y * p2)
+    return d1 * e1, out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 25, 27, 49, 97, 121, 400, 2003, 2048, 22027])
+def test_split_order_matches_contiguous(k):
+    assert _power_numerators(k, 6) == _contiguous_split(1, k + 1, 6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 5000), m=st.integers(1, 6))
+def test_split_order_matches_contiguous_property(k, m):
+    assert _power_numerators(k, m) == _contiguous_split(1, k + 1, m)
+
+
+def _largest_prime_factor(s):
+    out, p = 1, 2
+    while p * p <= s:
+        while s % p == 0:
+            out, s = p, s // p
+        p += 1
+    return max(out, s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 40, 256, 1000])
+def test_split_leaves_in_largest_prime_factor_order(k, monkeypatch):
+    seen = []
+    real = jet_combinatorics._split
+
+    def spy(leaves, a, b, m_max):
+        seen.append(list(leaves))
+        return real(leaves, a, b, m_max)
+
+    monkeypatch.setattr(jet_combinatorics, "_split", spy)
+    _power_numerators(k, 2)
+    leaves = seen[0]
+    assert sorted(leaves) == list(range(1, k + 1))
+    keys = [(_largest_prime_factor(s), s) for s in leaves]
+    assert keys == sorted(keys)
+
+
 def test_epsilon_ratio_at_e10_pinned():
     # blake2b of exact_squared at k = ceil(e^10), n = 3, as computed by the
     # reducing Fraction implementation this integer path replaced
