@@ -64,7 +64,7 @@ class CurvatureTensor:
         scale = max(1.0, float(np.abs(c).max()))
         if float(np.abs(c - swapped).max()) > _SYM_TOL * scale:
             raise ValueError("coefficients violate hermitian symmetry")
-        c = 0.5 * (c + swapped)
+        c = 0.5 * c + 0.5 * swapped
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 

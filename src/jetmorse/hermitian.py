@@ -58,7 +58,7 @@ class HermitianForm:
         if float(np.abs(a - h).max()) > _SYM_TOL * scale:
             raise ValueError("matrix is not hermitian within tolerance")
         # exact symmetrization so downstream eigensolves see a clean input
-        a = 0.5 * (a + h)
+        a = 0.5 * a + 0.5 * h
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

@@ -19,7 +19,12 @@ index is itself uniform, and each point carries an importance weight
 1 / sum_j det(Gram of the j-th coordinate projection), which removes the
 branched-covering bias of any single solve coordinate while keeping the
 weights bounded (every branch locus {z_j = 0} is covered by the other
-coordinates' schemes).
+coordinates' schemes).  The draws run point by point in stream order; the
+geometry then runs once on the stacked unit points: one complete QR of the
+(P, n+2, 2) spans gives the horizontal tangent frames, one batched
+determinant per dropped coordinate gives the projection Gram determinants,
+and one einsum each gives the second fundamental forms and the coefficients
+FS(n) + b b*.  The one-point functions are single-row calls of that pass.
 """
 
 from __future__ import annotations
@@ -121,24 +126,93 @@ def hypersurface_tensor(ff: SecondFundamentalForm, n: int) -> CurvatureTensor:
     b = ff.beta
     if b.shape[1] != n or b.shape[2] != n:
         raise ValueError("beta must act on (n, n) for the tangent bundle")
-    base = fubini_study_tensor(n).c
-    corr = np.einsum("sia,sjb->ijab", b, b.conj())
-    return CurvatureTensor(base + corr)
+    return CurvatureTensor(_hypersurface_coefficients(b))
 
 
-def _fermat_gradient(z: np.ndarray, d: int) -> np.ndarray:
-    return d * z ** (d - 1)
+def _hypersurface_coefficients(beta: np.ndarray) -> np.ndarray:
+    """FS(n) + sum_s beta_s beta_s* for beta of shape (..., s, n, n), stacked over ..."""
+    base = fubini_study_tensor(beta.shape[-1]).c
+    return base + np.einsum("...sia,...sjb->...ijab", beta, beta.conj())
 
 
-def _horizontal_tangent_frame(z: np.ndarray, d: int) -> np.ndarray:
-    """Orthonormal columns spanning {w : <w, z> = 0, sum w_j dP/dz_j = 0}."""
-    g = _fermat_gradient(z, d)
-    gn = float(np.linalg.norm(g))
-    if gn < 1e-12:
+def _fermat_points(n: int, d: int, count: int, rng) -> np.ndarray:
+    """count ambient points (count, n+2) of the hypersurface, each solving a random coordinate.
+
+    The draws run point by point in stream order (solved coordinate, real
+    parts, imaginary parts, branch); the root solve and the assembly run on
+    all points at once.
+    """
+    dim = n + 2
+    drops = np.empty(count, dtype=np.intp)
+    branches = np.empty(count)
+    re = np.empty((count, dim - 1))
+    im = np.empty((count, dim - 1))
+    for m in range(count):
+        drops[m] = rng.integers(dim)
+        rng.standard_normal(out=re[m])
+        rng.standard_normal(out=im[m])
+        branches[m] = rng.integers(d)
+    rest = re + 1j * im
+    root = (-np.sum(rest**d, axis=1)) ** (1.0 / d) * np.exp(2j * np.pi * branches / d)
+    z = np.empty((count, dim), dtype=complex)
+    z[np.arange(dim) != drops[:, None]] = rest.ravel()
+    z[np.arange(count), drops] = root
+    return z
+
+
+def _unit_fermat_points(z: np.ndarray, d: int) -> np.ndarray:
+    """Rows of z (P, n+2) scaled to the unit sphere, each on {sum z_j^d = 0} to 1e-10."""
+    nz = np.linalg.norm(z, axis=1)
+    if not nz.all():
+        raise ValueError("point must be nonzero")
+    z = z / nz[:, None]
+    if (np.abs(np.sum(z**d, axis=1)) > _POINT_TOL).any():
+        raise ValueError("point does not satisfy the defining equation")
+    return z
+
+
+def _fermat_geometry(z: np.ndarray, d: int) -> tuple:
+    """Horizontal tangent frames (P, n+2, n) and second fundamental forms (P, n, n).
+
+    The columns of frames[p] are orthonormal and span {w : <w, z_p> = 0,
+    sum_j w_j dP/dz_j = 0}; b[p] is the holomorphic Hessian of the defining
+    polynomial on that frame, divided by the gradient norm.
+    """
+    grad = d * z ** (d - 1)
+    gn = np.linalg.norm(grad, axis=1)
+    if (gn < 1e-12).any():
         raise ValueError("singular point: gradient vanishes on the cone")
-    span = np.stack([z, g.conj() / gn], axis=1)
-    q, _ = np.linalg.qr(span, mode="complete")
-    return q[:, 2:]
+    span = np.stack([z, grad.conj() / gn[:, None]], axis=2)
+    frames = np.linalg.qr(span, mode="complete").Q[:, :, 2:]
+    if d == 1:
+        n = z.shape[1] - 2
+        return frames, np.zeros((len(z), n, n), dtype=complex)
+    hess = d * (d - 1) * z ** (d - 2)
+    b = np.einsum("pj,pji,pja->pia", hess, frames, frames) / gn[:, None, None]
+    return frames, b
+
+
+def _projection_gram_dets(z: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """(P, n+2) dets of the pulled-back Fubini-Study Gram of each coordinate projection.
+
+    Column j is the projection dropping coordinate j; it reads 0 where the
+    kept coordinates nearly vanish.
+    """
+    dim = z.shape[1]
+    dets = np.empty(z.shape)
+    for drop in range(dim):
+        keep = np.arange(dim) != drop
+        zeta = z[:, keep]
+        a = frames[:, keep, :]
+        ah = a.conj().transpose(0, 2, 1)
+        nz2 = np.einsum("pk,pk->p", zeta.conj(), zeta).real
+        proj = ah @ zeta[:, :, None]
+        gram = (ah @ a) * nz2[:, None, None] - proj @ proj.conj().transpose(0, 2, 1)
+        live = nz2 >= 1e-14
+        scale = np.where(live, nz2, 1.0) ** 2
+        det = np.linalg.det(gram / scale[:, None, None]).real
+        dets[:, drop] = np.where(live, np.fmax(det, 0.0), 0.0)
+    return dets
 
 
 def fermat_second_fundamental_form(n: int, d: int, point: Sequence[complex]
@@ -154,50 +228,12 @@ def fermat_second_fundamental_form(n: int, d: int, point: Sequence[complex]
     z = np.asarray(point, dtype=complex).reshape(-1)
     if z.size != n + 2:
         raise ValueError("point must have n+2 components")
-    nz = float(np.linalg.norm(z))
-    if nz == 0:
-        raise ValueError("point must be nonzero")
-    z = z / nz
-    if abs(np.sum(z**d)) > _POINT_TOL:
-        raise ValueError("point does not satisfy the defining equation")
-    if d == 1:
-        return SecondFundamentalForm(np.zeros((1, n, n), dtype=complex))
-    frame = _horizontal_tangent_frame(z, d)
-    gn = float(np.linalg.norm(_fermat_gradient(z, d)))
-    hess_diag = d * (d - 1) * z ** (d - 2)
-    b = np.einsum("j,ji,ja->ia", hess_diag, frame, frame) / gn
-    return SecondFundamentalForm(b[None, :, :])
+    _, b = _fermat_geometry(_unit_fermat_points(z[None, :], d), d)
+    return SecondFundamentalForm(b)
 
 
 def fermat_tangent_tensor(n: int, d: int, point: Sequence[complex]) -> CurvatureTensor:
     return hypersurface_tensor(fermat_second_fundamental_form(n, d, point), n)
-
-
-def _projection_gram_det(z: np.ndarray, frame: np.ndarray, drop: int) -> float:
-    """det of the pulled-back Fubini-Study Gram of the projection dropping coordinate drop."""
-    keep = np.arange(z.size) != drop
-    zeta = z[keep]
-    a = frame[keep, :]
-    nz2 = float(np.vdot(zeta, zeta).real)
-    if nz2 < 1e-14:
-        return 0.0
-    proj = a.conj().T @ zeta
-    gram = (a.conj().T @ a) * nz2 - np.outer(proj, proj.conj())
-    return max(0.0, float(np.linalg.det(gram / nz2**2).real))
-
-
-def _fermat_draw(n: int, d: int, rng) -> np.ndarray:
-    """One ambient unit point of the hypersurface: solve a random coordinate."""
-    dim = n + 2
-    drop = int(rng.integers(dim))
-    rest = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
-    branch = int(rng.integers(d))
-    rhs = -np.sum(rest**d)
-    root = rhs ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
-    z = np.empty(dim, dtype=complex)
-    z[np.arange(dim) != drop] = rest
-    z[drop] = root
-    return z / np.linalg.norm(z)
 
 
 def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
@@ -207,21 +243,20 @@ def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
     if d < 1:
         raise ValueError("d must be >= 1")
     rng = stream(seed, "fermat", n, d)
-    points = []
+    z = _unit_fermat_points(_fermat_points(n, d, count, rng), d)
+    frames, b = _fermat_geometry(z, d)
     raw = []
-    for m in range(count):
-        z = _fermat_draw(n, d, rng)
-        frame = _horizontal_tangent_frame(z, d)
-        mix = math.fsum(_projection_gram_det(z, frame, j) for j in range(n + 2))
+    for m, dets in enumerate(_projection_gram_dets(z, frames).tolist()):
+        mix = math.fsum(dets)
         if not mix > 0:
             raise FloatingPointError(
                 f"fermat point {m}: the projection Gram determinants sum to {mix!r}, "
                 "so its importance weight is undefined")
         raw.append(1.0 / mix)
-        points.append((f"pt{m:05d}", fermat_tangent_tensor(n, d, z)))
     total = math.fsum(raw)
-    pts = tuple(ManifoldPoint(id=pid, tensor=t, weight=w / total)
-                for (pid, t), w in zip(points, raw))
+    c = _hypersurface_coefficients(b[:, None])
+    pts = tuple(ManifoldPoint(f"pt{m:05d}", CurvatureTensor(c[m]), w / total)
+                for m, w in enumerate(raw))
     return ManifoldSample(pts, total_volume=1.0)
 
 

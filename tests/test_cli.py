@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from jetmorse.cli import main
@@ -162,7 +163,8 @@ def test_ci_threshold_boundary_exit2():
 def test_morse_fermat_zero_mix_exit4(tmp_path, capsys, monkeypatch):
     import jetmorse.models as models
 
-    monkeypatch.setattr(models, "_projection_gram_det", lambda *a: 0.0)
+    monkeypatch.setattr(models, "_projection_gram_dets",
+                        lambda z, frames: np.zeros(z.shape))
     model = json.dumps({"type": "fermat", "n": 2, "d": 3, "points": 2, "seed": 1})
     rc = main(["morse", "--model", model, "--k-list", "2", "--samples", "10",
                "--seed", "1", "--out", str(tmp_path / "x")])

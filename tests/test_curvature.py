@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetmorse.curvature import (CurvatureTensor, TwistForm, curvature_pairing,
                                 eta, eta_k, expected_g_k, g_k, g_k_batch, q_form,
@@ -115,6 +117,16 @@ def test_sup_norm_diagonal_oracle():
     assert sup_norm(t, 8, 1) == pytest.approx(2.0, abs=1e-8)
 
 
+def test_tensor_symmetrization_keeps_huge_finite_entries():
+    big = 0.75 * np.finfo(float).max
+    c = np.zeros((1, 1, 2, 2), dtype=complex)
+    c[0, 0, 0, 0] = big
+    c[0, 0, 1, 1] = 1.0
+    t = CurvatureTensor(c)
+    assert t.c[0, 0, 0, 0] == big
+    assert np.isfinite(t.c).all()
+
+
 def test_sup_norm_fubini_study():
     for n in (1, 2, 3):
         assert sup_norm(fubini_study_tensor(n), 6, 2) == pytest.approx(2.0, abs=1e-9)
@@ -124,6 +136,16 @@ def test_json_roundtrip():
     t = random_tensor(2, 3, 1.0, 17)
     t2 = tensor_from_json(tensor_to_json(t))
     assert np.array_equal(t.c, t2.c)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.0, 1e6))
+def test_json_roundtrip_property(n, r, seed, scale):
+    t = random_tensor(n, r, scale, seed)
+    c = tensor_from_json(tensor_to_json(t)).c
+    assert np.array_equal(c, t.c)
+    assert np.array_equal(c, np.conj(np.transpose(c, (1, 0, 3, 2))))
 
 
 def test_json_rejects_asymmetric():

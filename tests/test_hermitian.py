@@ -30,6 +30,15 @@ def test_form_validation():
             HermitianForm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+def test_form_symmetrization_keeps_huge_finite_entries():
+    # a finite entry above half the largest float must survive the exact
+    # symmetrization instead of overflowing to inf+nanj
+    big = 0.75 * np.finfo(float).max
+    form = HermitianForm.diagonal([big, 1.0])
+    assert form.entries[0, 0] == big
+    assert np.isfinite(form.entries).all()
+
+
 def test_quadratic_real_and_matches_eigen():
     rng = stream(2, "herm")
     a = _random_form(4, rng)

@@ -8,7 +8,7 @@ import pytest
 from jetmorse.curvature import curvature_pairing, eta, sigma_variance, trace_free
 from jetmorse.measures import sample_sphere_batch
 from jetmorse.models import (CompleteIntersectionSpec, SecondFundamentalForm,
-                             build_sample, ci_threshold,
+                             _fermat_points, build_sample, ci_threshold,
                              fermat_sample, fermat_second_fundamental_form,
                              fermat_tangent_tensor, fubini_study_tensor,
                              hypersurface_tensor, j_bound, random_tensor)
@@ -119,6 +119,52 @@ def test_fermat_curve_eta_averages_to_zero():
     se = math.sqrt(np.var(w * m * (v - avg)) / m)
     assert abs(avg) <= 3 * se
     assert abs(avg) < 0.05
+
+
+def _reference_fermat_sample(n, d, count, seed):
+    # one point at a time: the draw in stream order, a QR tangent frame, one
+    # projection Gram determinant per dropped coordinate, and the tangent
+    # tensor assembled from the second fundamental form
+    rng = stream(seed, "fermat", n, d)
+    tensors, raw = [], []
+    for _ in range(count):
+        drop = int(rng.integers(n + 2))
+        rest = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        branch = int(rng.integers(d))
+        root = (-np.sum(rest**d)) ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
+        z = np.insert(rest, drop, root)
+        z = z / np.linalg.norm(z)
+        g = d * z ** (d - 1)
+        gn = float(np.linalg.norm(g))
+        q, _ = np.linalg.qr(np.stack([z, g.conj() / gn], axis=1), mode="complete")
+        frame = q[:, 2:]
+        dets = []
+        for drop in range(n + 2):
+            keep = np.arange(n + 2) != drop
+            zeta, a = z[keep], frame[keep, :]
+            nz2 = float(np.vdot(zeta, zeta).real)
+            proj = a.conj().T @ zeta
+            gram = (a.conj().T @ a) * nz2 - np.outer(proj, proj.conj())
+            dets.append(max(0.0, float(np.linalg.det(gram / nz2**2).real)))
+        raw.append(1.0 / math.fsum(dets))
+        hess = d * (d - 1) * z ** (d - 2)
+        b = np.einsum("j,ji,ja->ia", hess, frame, frame) / gn
+        tensors.append(hypersurface_tensor(SecondFundamentalForm(b[None]), n).c)
+    total = math.fsum(raw)
+    return tensors, [w / total for w in raw]
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 5)])
+def test_fermat_sample_matches_per_point_reference(n, d):
+    S = fermat_sample(n, d, 40, 11)
+    tensors, weights = _reference_fermat_sample(n, d, 40, 11)
+    for p, c, w in zip(S.points, tensors, weights):
+        assert float(np.abs(p.tensor.c - c).max()) < 1e-12
+        assert abs(p.weight - w) < 1e-12 * w
+    # the one-point call is row m of the batched pass, bit for bit
+    z = _fermat_points(n, d, 40, stream(11, "fermat", n, d))
+    for m, p in enumerate(S.points):
+        assert np.array_equal(fermat_tangent_tensor(n, d, z[m]).c, p.tensor.c)
 
 
 def test_fermat_rank1_trace_free_vanishes():
