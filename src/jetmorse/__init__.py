@@ -7,7 +7,7 @@ random streams throughout.
 
 __version__ = "0.1.0"
 
-from .curvature import CurvatureTensor, TwistForm
+from .curvature import CurvatureTensor
 from .hermitian import HermitianForm
 from .jet_combinatorics import epsilon_ratio, harmonic, ikrn_bounds, ikrn_exact
 from .measures import dirichlet_integral, nu_moment
@@ -15,7 +15,7 @@ from .morse_mc import ManifoldPoint, ManifoldSample, MorseReport, convergence_st
 from .wps import WeightSpec, integrate_fiber, volume_closed_form
 
 __all__ = [
-    "CurvatureTensor", "TwistForm", "HermitianForm",
+    "CurvatureTensor", "HermitianForm",
     "epsilon_ratio", "harmonic", "ikrn_bounds", "ikrn_exact",
     "dirichlet_integral", "nu_moment",
     "ManifoldPoint", "ManifoldSample", "MorseReport", "convergence_study",

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .jet_combinatorics import (ResourceLimitError, epsilon_ratio, ikrn_asymptotic,
                                 ikrn_bounds, ikrn_exact, inverse_square_sum)
-from .measures import sample_nu_batch
+from .measures import mean_std_error, sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
 from .morse_mc import _fmt, convergence_study
 from .rng import stream
@@ -71,10 +71,11 @@ def cmd_wps_volume(args) -> int:
 
 
 def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
+    if n < 0:
+        raise ValueError("n must be >= 0")
     rng = stream(seed, "ikrn-mc", k, r, n)
     x = sample_nu_batch(k, r, samples, rng)
-    vals = (x @ (1.0 / np.arange(1, k + 1))) ** n
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+    return mean_std_error((x @ (1.0 / np.arange(1, k + 1))) ** n)
 
 
 def cmd_ikrn(args) -> int:
@@ -139,6 +140,8 @@ def cmd_ci_threshold(args) -> int:
     spec = CompleteIntersectionSpec(n=args.n, s=args.s,
                                     degrees=tuple(_ints(args.degrees)),
                                     a=Fraction(args.a))
+    if args.k is not None and args.k < 2:
+        raise ValueError("--k must be >= 2")
     ln_k = ci_threshold(spec)
     print(f"ln_k_min {_fmt(ln_k)}")
     print(f"log10_k_min {_fmt(ln_k / math.log(10))}")

@@ -11,9 +11,9 @@ From the tensor we build:
 
 * the n x n trace form eta and the trace-free tensor,
 * the fiber form Q(zeta) (r x r) and the sampled curvature form
-  g_k(x, u) = sum_s (x_s/s) Q-contraction with u_s (n x n),
+  sum_s (x_s/s) Q-contraction with u_s (n x n) of a draw (x, u), batched
+  over draws by :func:`g_k_batch`,
 * its exact expectation H_k/(k r) eta,
-* the twisted renormalization (k r / H_k) g_k + Theta_F,
 * the variance of the trace-free tensor over product spheres and a
   restart-based estimate of the sup norm over unit (zeta, u).
 """
@@ -21,27 +21,23 @@ From the tensor we build:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import _SYM_TOL, HermitianForm, sphere_second_moment, trace_free_part
+from .hermitian import _SYM_TOL, HermitianForm
 from .jet_combinatorics import harmonic
-from .measures import sample_sphere_batch
+from .measures import mean_std_error, sample_sphere_batch
 from .rng import stream
 
 __all__ = [
     "CurvatureTensor",
-    "TwistForm",
     "eta",
     "trace_free",
     "q_form",
     "curvature_pairing",
-    "g_k",
     "g_k_batch",
     "expected_g_k",
-    "eta_k",
     "sigma_variance",
     "sup_norm",
     "tensor_to_json",
@@ -88,17 +84,6 @@ class CurvatureTensor:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class TwistForm:
-    """Curvature form of an auxiliary line bundle, in the orthonormal base frame."""
-
-    theta_F: HermitianForm
-
-    @property
-    def n(self) -> int:
-        return self.theta_F.dim
-
-
 def eta(t: CurvatureTensor) -> HermitianForm:
     """Trace over the fiber indices: eta[i,j] = sum_a c[i,j,a,a]."""
     return HermitianForm(np.einsum("ijaa->ij", t.c))
@@ -134,26 +119,12 @@ def _base_form(t: CurvatureTensor, u: np.ndarray) -> np.ndarray:
     return np.einsum("ijab,a,b->ij", t.c, u, u.conj())
 
 
-def g_k(t: CurvatureTensor, x, u) -> HermitianForm:
-    """Sampled curvature form with simplex weights x and sphere tuple u.
-
-    Entries: sum_s (x_s/s) sum_{ab} c[i,j,a,b] u_s[a] conj(u_s[b]).
-    """
-    xs = np.asarray(getattr(x, "x", x), dtype=float)
-    us = list(getattr(u, "u", u))
-    if xs.ndim != 1 or len(us) != xs.size:
-        raise ValueError("x and u must have equal length k")
-    out = np.zeros((t.n, t.n), dtype=complex)
-    for s, (w, vec) in enumerate(zip(xs, us), start=1):
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (t.r,):
-            raise ValueError("sphere factors must have dimension r")
-        out += (w / s) * _base_form(t, vec)
-    return HermitianForm(out)
-
-
 def g_k_batch(t: CurvatureTensor, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized g_k: x shape (m, k), u shape (m, k, r); returns (m, n, n)."""
+    """Sampled curvature forms of m draws (x, u); returns (m, n, n).
+
+    x has shape (m, k) and u shape (m, k, r); entries are
+    sum_s (x_s/s) sum_{ab} c[i,j,a,b] u_s[a] conj(u_s[b]).
+    """
     k = x.shape[1]
     weights = x / np.arange(1, k + 1)
     uu = np.einsum("msa,msb->msab", u, u.conj())
@@ -161,18 +132,11 @@ def g_k_batch(t: CurvatureTensor, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def expected_g_k(t: CurvatureTensor, k: int) -> HermitianForm:
-    """Exact expectation of g_k: (H_k / (k r)) eta."""
+    """Exact expectation of the sampled curvature form: (H_k / (k r)) eta."""
     if k < 1:
         raise ValueError("k must be >= 1")
     factor = float(harmonic(k)) / (k * t.r)
     return HermitianForm(factor * eta(t).entries)
-
-
-def eta_k(t: CurvatureTensor, f: TwistForm, x, u, k: int) -> HermitianForm:
-    """Renormalized twisted form (k r / H_k) g_k(x, u) + Theta_F."""
-    base = g_k(t, x, u)
-    factor = (k * t.r) / float(harmonic(k))
-    return HermitianForm(factor * base.entries + f.theta_F.entries)
 
 
 def sigma_variance(t: CurvatureTensor, n_zeta: int, seed: int,
@@ -196,10 +160,7 @@ def sigma_variance(t: CurvatureTensor, n_zeta: int, seed: int,
     r = t.r
     forms = np.einsum("ijab,mi,mj->mab", t.c, zetas, zetas.conj(), optimize=True)
     lam = np.linalg.eigvalsh(forms)
-    vals = np.sum(lam**2, axis=1) / (r * (r + 1))
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_zeta))
-    return est, se
+    return mean_std_error(np.sum(lam**2, axis=1) / (r * (r + 1)))
 
 
 def sup_norm(t: CurvatureTensor, restarts: int, seed: int,

@@ -10,92 +10,35 @@ Two probability measures are used throughout the curvature statistics:
 
 Moments of both are available in closed form as exact rationals; the samplers
 are exact (normalized Gamma draws, normalized complex Gaussians) so no
-rejection step is needed.
+rejection step is needed.  :func:`mean_std_error` is the one mean and
+standard-error reduction of the whole-array Monte-Carlo estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "SimplexPoint",
-    "SphereTuple",
-    "sample_nu",
     "sample_nu_batch",
     "nu_moment",
     "dirichlet_integral",
-    "sample_sphere",
     "sample_sphere_batch",
+    "mean_std_error",
 ]
-
-_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A point of the (k-1)-simplex: nonnegative entries summing to 1."""
-
-    x: tuple
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size < 1:
-            raise ValueError("simplex point must be a nonempty 1-d sequence")
-        if np.any(x < 0):
-            raise ValueError("simplex coordinates must be nonnegative")
-        if abs(float(x.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError("simplex coordinates must sum to 1 within 1e-12")
-        object.__setattr__(self, "x", tuple(float(v) for v in x))
-
-    def __len__(self):
-        return len(self.x)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
-
-
-@dataclass(frozen=True)
-class SphereTuple:
-    """A tuple of unit vectors, one on each sphere S^{2r_s-1}."""
-
-    u: tuple
-
-    def __post_init__(self):
-        vecs = []
-        for v in self.u:
-            v = np.asarray(v, dtype=complex)
-            if v.ndim != 1 or v.size < 1:
-                raise ValueError("each sphere factor must be a nonempty vector")
-            if abs(float(np.linalg.norm(v)) - 1.0) > _SUM_TOL:
-                raise ValueError("sphere factors must have unit norm within 1e-12")
-            vecs.append(v)
-        object.__setattr__(self, "u", tuple(vecs))
-
-    def __len__(self):
-        return len(self.u)
-
-
-def sample_nu(k: int, r: int, rng: np.random.Generator) -> SimplexPoint:
-    """Draw one point of Delta_{k-1} with density (kr-1)! (prod x_s)^{r-1}/((r-1)!)^k.
-
-    Equivalent to a symmetric Dirichlet(r, ..., r) draw, realized as
-    normalized Gamma(r) variables.
-    """
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be >= 1")
-    if k == 1:
-        return SimplexPoint((1.0,))
-    g = rng.gamma(shape=r, size=k)
-    return SimplexPoint(tuple(g / g.sum()))
 
 
 def sample_nu_batch(k: int, r: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized version of :func:`sample_nu`; returns shape (n_samples, k)."""
+    """Draw points of Delta_{k-1} with density (kr-1)! (prod x_s)^{r-1}/((r-1)!)^k.
+
+    Equivalent to symmetric Dirichlet(r, ..., r) draws, realized as
+    normalized Gamma(r) variables; returns shape (n_samples, k).
+    """
+    if k < 1 or r < 1:
+        raise ValueError("k and r must be >= 1")
     if k == 1:
         return np.ones((n_samples, 1))
     g = rng.gamma(shape=r, size=(n_samples, k))
@@ -136,15 +79,15 @@ def dirichlet_integral(r: Sequence[int]) -> Fraction:
     return Fraction(num, math.factorial(total - 1))
 
 
-def sample_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw on the unit sphere of C^dim (normalized complex Gaussian)."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
 def sample_sphere_batch(dim: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws on the unit sphere of C^dim; returns shape ``shape + (dim,)``."""
     z = rng.standard_normal(shape + (dim,)) + 1j * rng.standard_normal(shape + (dim,))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def mean_std_error(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean of a 1-d array and its standard error std(ddof=1)/sqrt(n)."""
+    n = values.size
+    if n < 2:
+        raise ValueError("a standard error needs at least 2 values")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))

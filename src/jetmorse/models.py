@@ -36,8 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import (CurvatureTensor, TwistForm, eta, sup_norm, tensor_from_json,
-                        trace_free)
+from .curvature import CurvatureTensor, eta, sup_norm, tensor_from_json, trace_free
 from .hermitian import HermitianForm, operator_norm
 from .jet_combinatorics import inverse_square_sum
 from .morse_mc import ManifoldPoint, ManifoldSample
@@ -340,9 +339,9 @@ def build_sample(spec: dict) -> ManifoldSample:
             tensor = tensor_from_json(entry["tensor"])
             twist = None
             if entry.get("twist") is not None:
-                twist = TwistForm(HermitianForm(np.array(
+                twist = HermitianForm(np.array(
                     [[complex(re, im) for re, im in row]
-                     for row in entry["twist"]])))
+                     for row in entry["twist"]]))
             pts.append(ManifoldPoint(str(entry["id"]), tensor,
                                      float(entry["weight"]), twist))
         weights = math.fsum(p.weight for p in pts)

@@ -4,8 +4,8 @@ A :class:`ManifoldSample` is a fixed quadrature: points with weights, each
 carrying a curvature tensor and an optional twist form.  For each point the
 inner expectation over (simplex, product-of-spheres) draws of
 
-    1_{index q}(form) * det(form),   form = g_k(x, u)  (or the twisted
-    renormalization (k r / H_k) g_k + Theta_F when a twist is present)
+    1_{index q}(form) * det(form),   form = sampled curvature form  (or its
+    twisted renormalization (k r / H_k) form + Theta_F when a twist is present)
 
 is estimated by vectorized Monte Carlo, weighted-summed over points, and
 compared against the quadrature version of the limiting index integral of
@@ -18,7 +18,7 @@ and imaginary parts of the upper triangle).  The draws are standard complex
 Gaussian vectors v_s in C^r.  By the polar identity, g_s = |v_s|^2 is a
 Gamma(r) variable independent of u_s = v_s / |v_s|, which is uniform on the
 unit sphere, and g_s u_s u_s* = v_s v_s*.  With x_s = g_s / G_k and
-G_k = sum_{s<=k} g_s, the fiber matrix of g_k is therefore
+G_k = sum_{s<=k} g_s, the fiber matrix of the sampled form is therefore
 (1/G_k) sum_{s<=k} v_s v_s* / s: one product of the outer-product
 coordinates with a fixed (k_max, 2K) weight matrix gives the weighted sums
 and the traces G_k for all k, and a second product with the tensor, mapped
@@ -58,7 +58,7 @@ import numpy as np
 
 # g_k_batch and sample_sphere_batch are not called here: bench/tracing.py
 # wraps both by name on this module.
-from .curvature import CurvatureTensor, TwistForm, eta, g_k_batch  # noqa: F401
+from .curvature import CurvatureTensor, eta, g_k_batch  # noqa: F401
 from .hermitian import HermitianForm, signed_index_det
 from .jet_combinatorics import harmonic, ikrn_exact
 from .measures import sample_sphere_batch  # noqa: F401
@@ -101,12 +101,12 @@ class ManifoldPoint:
     id: str
     tensor: CurvatureTensor
     weight: float
-    twist: Optional[TwistForm] = None
+    twist: Optional[HermitianForm] = None
 
     def __post_init__(self):
         if not 0 < self.weight < math.inf:
             raise ValueError("point weights must be positive and finite")
-        if self.twist is not None and self.twist.n != self.tensor.n:
+        if self.twist is not None and self.twist.dim != self.tensor.n:
             raise ValueError("twist dimension does not match tensor")
 
 
@@ -223,7 +223,7 @@ def _eta_index_integrals(M: ManifoldSample, q_list: Sequence[int], tol: float) -
     for p in M.points:
         form = eta(p.tensor)
         if p.twist is not None:
-            form = HermitianForm(form.entries + p.twist.theta_F.entries)
+            form = HermitianForm(form.entries + p.twist.entries)
         forms.append(form)
     return {q: math.fsum(p.weight * signed_index_det(form, q, tol)
                          for p, form in zip(M.points, forms))
@@ -371,7 +371,7 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray,
     k_max = max(k_list).  By the polar identity, g_s = |v_s|^2 is a
     Gamma(r) variable independent of u_s = v_s / |v_s|, which is uniform on
     the unit sphere, and g_s u_s u_s* = v_s v_s*.  With G_k = sum_{s<=k} g_s
-    and x_s = g_s / G_k, the fiber matrix of g_k is therefore
+    and x_s = g_s / G_k, the fiber matrix of the sampled form is therefore
     (1/G_k) sum_{s<=k} v_s v_s* / s, and G_k is the trace of the same sum
     without the 1/s weights.  One product of the outer-product planes with
     :func:`_prefix_weights` gives both sums for every k, and a second one
@@ -388,7 +388,7 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray,
     fiber = (sums[:, :, :n_k] / total).transpose(0, 2, 1).reshape(r * r, -1)
     forms = _matmul(_tensor_map(t).T, fiber).reshape(t.n * t.n, n_k, m)
     if point.twist is not None:
-        forms += _herm_coords(point.twist.theta_F.entries)[:, None, None]
+        forms += _herm_coords(point.twist.entries)[:, None, None]
     return forms
 
 
@@ -544,7 +544,7 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
 def reduced_morse_integral(M: ManifoldSample, k: int, q: int, n_samples: int,
                            seed: int, tol: float,
                            workers: Optional[int] = None) -> tuple[float, float]:
-    """MC estimate of sum_p w_p E[1_{form,q} det(form)] with form = g_k (or eta_k).
+    """MC estimate of sum_p w_p E[1_{form,q} det(form)] over the sampled forms.
 
     Returns (estimate, std_error).  q > n returns (0, 0) exactly: an n x n
     form cannot have index exceeding n.

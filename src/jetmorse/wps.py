@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import sample_sphere_batch
+from .measures import dirichlet_integral, mean_std_error, sample_sphere_batch
 from .rng import stream
 
 __all__ = [
@@ -159,10 +159,7 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng) -> tuple[np.ndarray, list
         return np.ones(n_samples), [sample_sphere_batch(w.r[0], (n_samples,), rng)]
     g = rng.gamma(shape=1.0, size=(n_samples, k))
     x = g / g.sum(axis=1, keepdims=True)
-    total = sum(w.r)
-    const = Fraction(math.factorial(total - 1), math.factorial(k - 1))
-    for r_s in w.r:
-        const /= math.factorial(r_s - 1)
+    const = 1 / (math.factorial(k - 1) * dirichlet_integral(w.r))
     weight = float(const) * np.prod(
         x ** (np.asarray(w.r, dtype=float) - 1.0), axis=1)
     u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
@@ -180,13 +177,6 @@ def _evaluate(f: Callable, blocks: list, n_samples: int) -> np.ndarray:
     return vals
 
 
-def _mc_mean(values: np.ndarray, scale: float) -> tuple[float, float]:
-    n = values.size
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean * scale, se * scale
-
-
 def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
                     ) -> tuple[float, float]:
     """Monte-Carlo estimate of the fiber integral of an invariant function.
@@ -201,8 +191,9 @@ def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
         raise ValueError("n_samples must be >= 2")
     rng = stream(seed, "fiber", "p", w.a, w.r)
     weight, blocks = _sample_blocks(w, n_samples, rng)
-    vals = _evaluate(f, blocks, n_samples)
-    return _mc_mean(vals * weight, float(volume_closed_form(w)))
+    mean, se = mean_std_error(_evaluate(f, blocks, n_samples) * weight)
+    scale = float(volume_closed_form(w))
+    return mean * scale, se * scale
 
 
 def integrate_fiber_limit(w: WeightSpec, f: Callable, n_samples: int, seed: int
@@ -216,4 +207,6 @@ def integrate_fiber_limit(w: WeightSpec, f: Callable, n_samples: int, seed: int
         raise ValueError("n_samples must be >= 2")
     rng = stream(seed, "fiber", "limit", w.a, w.r)
     u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
-    return _mc_mean(_evaluate(f, u, n_samples), float(volume_closed_form(w)))
+    mean, se = mean_std_error(_evaluate(f, u, n_samples))
+    scale = float(volume_closed_form(w))
+    return mean * scale, se * scale

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from jetmorse.cli import main
+from jetmorse.curvature import tensor_to_json
+from jetmorse.models import random_tensor
 
 MODEL = json.dumps({"type": "random", "n": 2, "r": 2, "points": 2,
                     "scale": 1.0, "seed": 9})
@@ -72,6 +75,71 @@ def test_ikrn_mc_requires_seed():
     rc, _, err = _run(["ikrn", "--k", "3", "--r", "1", "--n", "2",
                        "--mode", "mc"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("bad", [
+    ["--samples", "0"],
+    ["--samples", "1"],
+    ["--k", "0"],
+    ["--r", "0"],
+    ["--n", "-1"],
+], ids=["samples0", "samples1", "k0", "r0", "n-1"])
+def test_ikrn_mc_bad_input_exit2(bad, capsys):
+    argv = {"--k": "3", "--r": "1", "--n": "2", "--samples": "100"}
+    argv.update(dict(zip(bad[::2], bad[1::2])))
+    rc = main(["ikrn", "--mode", "mc", "--seed", "1",
+               *[v for item in argv.items() for v in item]])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and "error:" in err
+
+
+def test_ikrn_mc_zero_power_is_valid(capsys):
+    assert main(["ikrn", "--k", "4", "--r", "1", "--n", "0", "--mode", "mc",
+                 "--samples", "10", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "estimate 1\nstd_error 0\n"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+# blake2b digests of the output bytes, pinned so that a refactor keeps every
+# byte (computed with numpy 2.4 / OpenBLAS 0.3 on x86-64; another BLAS may
+# round a last digit differently)
+@pytest.mark.parametrize("argv, digest", [
+    (["wps-volume", "--weights", "1,2,3", "--mults", "1,1,1",
+      "--samples", "100000", "--seed", "1"], "158fbf2928c02b06794383307a6a33a9"),
+    (["wps-volume", "--weights", "1,2", "--mults", "2,1", "--p", "5",
+      "--samples", "5000", "--seed", "3"], "4174af4495b53a2b88d4380f76daa996"),
+    (["ikrn", "--k", "6", "--r", "2", "--n", "3", "--mode", "mc",
+      "--samples", "100000", "--seed", "7"], "9c1ee847f3271c19cd728179b4449add"),
+])
+def test_mc_output_bytes_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert _digest(capsys.readouterr().out.encode()) == digest
+
+
+TWISTED = json.dumps({"type": "explicit", "points": [
+    {"id": "a", "weight": 0.75,
+     "tensor": json.loads(tensor_to_json(random_tensor(2, 2, 1.0, 21))),
+     "twist": [[[2.0, 0.0], [0.3, 0.1]], [[0.3, -0.1], [1.5, 0.0]]]},
+    {"id": "b", "weight": 0.25,
+     "tensor": json.loads(tensor_to_json(random_tensor(2, 2, 1.0, 22)))}]})
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("model, digest", [
+    (MODEL, "ca0dcdd551e23600ecca39c732e3615c"),
+    (TWISTED, "faeb52235ec31d19af9c8774e86b6597"),
+])
+def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
+    out = str(tmp_path / "m")
+    assert main(["morse", "--model", model, "--k-list", "2,4,8",
+                 "--samples", "3000", "--seed", "3", "--out", out,
+                 "--workers", workers]) == 0
+    data = (tmp_path / "m.csv").read_bytes() + (tmp_path / "m.json").read_bytes()
+    assert _digest(data) == digest
 
 
 def test_ikrn_resource_ceiling_exit3():
@@ -158,6 +226,14 @@ def test_ci_threshold_boundary_exit2():
                        "--degrees", "5", "--a", "1"])
     assert rc == 2
     assert "exceed" in err
+
+
+def test_ci_threshold_k_below_2_exit2_before_output(capsys):
+    rc = main(["ci-threshold", "--n", "2", "--s", "1", "--degrees", "15",
+               "--a", "1", "--k", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and "--k" in err
 
 
 def test_morse_fermat_zero_mix_exit4(tmp_path, capsys, monkeypatch):

@@ -4,25 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetmorse.measures import (SimplexPoint, SphereTuple, dirichlet_integral,
-                               nu_moment, sample_nu, sample_nu_batch,
-                               sample_sphere, sample_sphere_batch)
+from jetmorse.measures import (dirichlet_integral, mean_std_error, nu_moment,
+                               sample_nu_batch, sample_sphere_batch)
 from jetmorse.rng import stream
-
-
-def test_simplex_point_validation():
-    SimplexPoint((0.25, 0.75))
-    with pytest.raises(ValueError):
-        SimplexPoint((0.5, 0.6))
-    with pytest.raises(ValueError):
-        SimplexPoint((-0.1, 1.1))
-
-
-def test_sphere_tuple_validation():
-    u = np.array([1.0, 0.0], dtype=complex)
-    SphereTuple((u,))
-    with pytest.raises(ValueError):
-        SphereTuple((2 * u,))
 
 
 def test_sample_nu_moments():
@@ -80,6 +64,26 @@ def test_sphere_sampler_unit_norm_and_moment():
 
 def test_sample_nu_single_slot():
     rng = stream(1, "one")
-    assert sample_nu(1, 3, rng).x == (1.0,)
-    v = sample_sphere(1, rng)
+    assert sample_nu_batch(1, 3, 1, rng).tolist() == [[1.0]]
+    v = sample_sphere_batch(1, (), rng)
     assert abs(abs(v[0]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("k, r", [(0, 2), (3, 0), (1, 0), (-1, 1)])
+def test_sample_nu_batch_rejects_bad_orders(k, r):
+    with pytest.raises(ValueError, match=">= 1"):
+        sample_nu_batch(k, r, 10, stream(1, "bad"))
+
+
+def test_mean_std_error_matches_numpy():
+    vals = stream(3, "mse").standard_normal(1001) + 5.0
+    mean, se = mean_std_error(vals)
+    assert mean == float(vals.mean())
+    assert se == float(vals.std(ddof=1) / math.sqrt(vals.size))
+    assert mean_std_error(np.array([1.0, 3.0])) == (2.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_mean_std_error_needs_two_values(n):
+    with pytest.raises(ValueError, match="at least 2"):
+        mean_std_error(np.ones(n))

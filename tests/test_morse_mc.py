@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jetmorse import morse_mc
-from jetmorse.curvature import CurvatureTensor, TwistForm, g_k_batch, trace_free
+from jetmorse.curvature import CurvatureTensor, g_k_batch, trace_free
 from jetmorse.hermitian import HermitianForm
 from jetmorse.jet_combinatorics import harmonic, ikrn_exact
 from jetmorse.models import fubini_study_tensor, random_tensor
@@ -55,7 +55,7 @@ def test_eta_index_integral_examples():
 def test_eta_index_integral_with_twist():
     # twist shifts eta = -(n+1) id into the positive cone
     t = fubini_study_tensor(2)
-    twist = TwistForm(HermitianForm(5.0 * np.eye(2, dtype=complex)))
+    twist = HermitianForm(5.0 * np.eye(2, dtype=complex))
     M = _single(t, twist)
     assert eta_index_integral(M, 0, 1e-9) == pytest.approx(4.0)
     assert eta_index_integral(M, 2, 1e-9) == 0.0
@@ -82,7 +82,7 @@ def test_std_error_vanishes_for_constant_draws():
 def test_std_error_matches_two_pass_when_mean_dominates():
     # a large twist under a tiny tensor: det ~ 1e8 with a spread of a few
     # units, where a sum-of-squares variance would cancel away
-    twist = TwistForm(HermitianForm(1e4 * np.eye(2, dtype=complex)))
+    twist = HermitianForm(1e4 * np.eye(2, dtype=complex))
     point = ManifoldPoint("p", random_tensor(2, 2, 1e-4, 12), 1.0, twist)
     m, k = 16000, 3
     est, se = reduced_morse_integral(_single(point.tensor, twist), k, 0, m, 8, 1e-9)
@@ -90,7 +90,7 @@ def test_std_error_matches_two_pass_when_mean_dominates():
     g = np.sum(np.abs(v) ** 2, axis=-1)
     u = v / np.sqrt(g)[..., None]
     x = g / g.sum(axis=1, keepdims=True)
-    forms = k * 2 / float(harmonic(k)) * g_k_batch(point.tensor, x, u) + twist.theta_F.entries
+    forms = k * 2 / float(harmonic(k)) * g_k_batch(point.tensor, x, u) + twist.entries
     vals = np.prod(np.linalg.eigvalsh(forms), axis=1)
     assert vals.min() > 0
     assert est == pytest.approx(vals.mean(), rel=1e-12)
@@ -209,7 +209,7 @@ def test_report_duplicate_keys_rejected():
 def test_twisted_study_deviation_uses_direct_scale():
     # with a twist the renormalized form targets eta + Theta_F directly
     t = fubini_study_tensor(2)
-    twist = TwistForm(HermitianForm(4.0 * np.eye(2, dtype=complex)))
+    twist = HermitianForm(4.0 * np.eye(2, dtype=complex))
     M = _single(t, twist)
     # the deviation has a hump around k ~ 16 before the 1/log k decay sets
     # in, so compare a point on the hump with a point well past it
@@ -233,7 +233,7 @@ def _reference_chunk(point, g, u, k_list, q_list, tol):
         forms = g_k_batch(t, x, u[:, :k])
         if point.twist is not None:
             factor = k * t.r / float(harmonic(k))
-            forms = factor * forms + point.twist.theta_F.entries
+            forms = factor * forms + point.twist.entries
         lam = np.linalg.eigvalsh(forms)
         plus = np.sum(lam > tol, axis=1)
         minus = np.sum(lam < -tol, axis=1)
@@ -253,7 +253,7 @@ def test_fused_kernel_matches_reference(n, r, twisted):
     twist = None
     if twisted:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        twist = TwistForm(HermitianForm(0.5 * (a + a.conj().T)))
+        twist = HermitianForm(0.5 * (a + a.conj().T))
     point = ManifoldPoint("p", random_tensor(n, r, 1.0, 60 + n + r), 1.0, twist)
     k_list, q_list, m = [1, 3, 7], list(range(n + 1)), 3000
     # polar identity: |v_s|^2 ~ Gamma(r) and v_s/|v_s| uniform on the sphere
