@@ -229,8 +229,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"resource ceiling: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource ceiling: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

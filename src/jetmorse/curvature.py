@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import _SYM_TOL, HermitianForm
+from .hermitian import HermitianForm, _symmetrized
 from .jet_combinatorics import harmonic
 from .measures import mean_std_error, sample_sphere_batch
 from .rng import stream
@@ -54,15 +54,8 @@ class CurvatureTensor:
         c = np.asarray(self.c, dtype=complex)
         if c.ndim != 4 or c.shape[0] != c.shape[1] or c.shape[2] != c.shape[3]:
             raise ValueError("coefficients must have shape (n, n, r, r)")
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
-        swapped = np.conj(np.transpose(c, (1, 0, 3, 2)))
-        scale = max(1.0, float(np.abs(c).max()))
-        if float(np.abs(c - swapped).max()) > _SYM_TOL * scale:
-            raise ValueError("coefficients violate hermitian symmetry")
-        c = 0.5 * c + 0.5 * swapped
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _symmetrized(
+            c, (1, 0, 3, 2), "coefficients", "coefficients violate hermitian symmetry"))
 
     @property
     def n(self) -> int:
@@ -71,17 +64,6 @@ class CurvatureTensor:
     @property
     def r(self) -> int:
         return self.c.shape[2]
-
-    def __add__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return CurvatureTensor(self.c + other.c)
-
-    def __sub__(self, other: "CurvatureTensor") -> "CurvatureTensor":
-        return CurvatureTensor(self.c - other.c)
-
-    def __mul__(self, scalar: float) -> "CurvatureTensor":
-        return CurvatureTensor(self.c * scalar)
-
-    __rmul__ = __mul__
 
 
 def eta(t: CurvatureTensor) -> HermitianForm:

@@ -7,6 +7,9 @@ eigenvalues, determinants and signatures can be read off the matrix
 directly.  The q-index indicator is 1 when the form has exactly q negative
 and dim-q positive eigenvalues (no nullity at the working tolerance).
 
+One validator, shared with ``curvature.CurvatureTensor``, admits finite input
+hermitian to ``_SYM_TOL`` and stores the exact mean 0.5 a + 0.5 a*.
+
 Each form eigensolves once and keeps its spectrum twice: the read-only
 ndarray :attr:`HermitianForm.spectrum`, and a tuple of Python floats that
 :func:`signature`, :func:`signed_index_det`, :func:`operator_norm` and
@@ -51,27 +54,8 @@ class HermitianForm:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("entries must be a square matrix")
-        if not np.isfinite(a).all():
-            raise ValueError("entries must be finite")
-        scale = max(1.0, float(np.abs(a).max()))
-        h = a.conj().T
-        if float(np.abs(a - h).max()) > _SYM_TOL * scale:
-            raise ValueError("matrix is not hermitian within tolerance")
-        # exact symmetrization so downstream eigensolves see a clean input
-        a = 0.5 * a + 0.5 * h
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @classmethod
-    def _hermitian(cls, a: np.ndarray) -> "HermitianForm":
-        # sums and real multiples of exactly symmetrized forms are exactly
-        # hermitian, so only finiteness is left to check
-        if not np.isfinite(a).all():
-            raise ValueError("entries must be finite")
-        a.setflags(write=False)
-        form = object.__new__(cls)
-        object.__setattr__(form, "entries", a)
-        return form
+        object.__setattr__(self, "entries", _symmetrized(
+            a, (1, 0), "entries", "matrix is not hermitian within tolerance"))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -103,15 +87,29 @@ class HermitianForm:
         return float(np.real(np.einsum("ab,a,b->", self.entries, v, v.conj())))
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        return HermitianForm._hermitian(self.entries + other.entries)
+        return HermitianForm(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianForm") -> "HermitianForm":
-        return HermitianForm._hermitian(self.entries - other.entries)
+        return HermitianForm(self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianForm":
-        return HermitianForm._hermitian(self.entries * float(scalar))
+        return HermitianForm(self.entries * float(scalar))
 
     __rmul__ = __mul__
+
+
+def _symmetrized(a: np.ndarray, axes: tuple, what: str, asymmetric: str) -> np.ndarray:
+    """Read-only 0.5 a + 0.5 a* of a finite ``a`` within ``_SYM_TOL`` of a*, the
+    conjugate of ``a`` with its axes permuted; as two halves, it cannot overflow."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    h = a.conj().transpose(axes)
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - h).max()) > _SYM_TOL * scale:
+        raise ValueError(asymmetric)
+    a = 0.5 * a + 0.5 * h
+    a.setflags(write=False)
+    return a
 
 
 def eigenvalues(a: HermitianForm) -> np.ndarray:

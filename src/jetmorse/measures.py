@@ -48,7 +48,8 @@ def sample_nu_batch(k: int, r: int, n_samples: int, rng: np.random.Generator) ->
 def nu_moment(k: int, r: int, beta: Sequence[int]) -> Fraction:
     """Exact moment  integral of x_1^beta_1 ... x_k^beta_k  against the simplex measure.
 
-    Closed form: (kr-1)!/(kr+n-1)! * prod_s (r+beta_s-1)!/(r-1)!  with n = sum(beta).
+    The measure has density prod_s x_s^(r-1) / dirichlet_integral([r]*k), so
+    the moment is dirichlet_integral([r+beta_s]) / dirichlet_integral([r]*k).
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
@@ -57,11 +58,7 @@ def nu_moment(k: int, r: int, beta: Sequence[int]) -> Fraction:
         raise ValueError("beta must have length k")
     if any(b < 0 for b in beta):
         raise ValueError("beta entries must be nonnegative")
-    n = sum(beta)
-    value = Fraction(math.factorial(k * r - 1), math.factorial(k * r + n - 1))
-    for b in beta:
-        value *= Fraction(math.factorial(r + b - 1), math.factorial(r - 1))
-    return value
+    return dirichlet_integral([r + b for b in beta]) / dirichlet_integral([r] * k)
 
 
 def dirichlet_integral(r: Sequence[int]) -> Fraction:

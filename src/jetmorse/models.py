@@ -77,10 +77,6 @@ class SecondFundamentalForm:
         b.setflags(write=False)
         object.__setattr__(self, "beta", b)
 
-    @property
-    def s(self) -> int:
-        return self.beta.shape[0]
-
     def apply(self, zeta: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.einsum("sia,i,a->s", self.beta, zeta, u)
 

@@ -1,8 +1,8 @@
 """Monte-Carlo q-index integrals over a sampled manifold.
 
-A :class:`ManifoldSample` is a fixed quadrature: points with weights, each
-carrying a curvature tensor and an optional twist form.  For each point the
-inner expectation over (simplex, product-of-spheres) draws of
+A :class:`ManifoldSample` is a fixed quadrature: weighted points carrying a
+curvature tensor each, and a twist form on every point or on none.  For
+each point the inner expectation over (simplex, product-of-spheres) draws of
 
     1_{index q}(form) * det(form),   form = sampled curvature form  (or its
     twisted renormalization (k r / H_k) form + Theta_F when a twist is present)
@@ -125,6 +125,8 @@ class ManifoldSample:
         for p in pts:
             if (p.tensor.n, p.tensor.r) != (n, r):
                 raise ValueError("all tensors must share (n, r)")
+            if (p.twist is None) != (pts[0].twist is None):
+                raise ValueError("points must be all twisted or all untwisted")
         if len({p.id for p in pts}) != len(pts):
             raise ValueError("point ids must be unique")
         if not math.isfinite(self.total_volume):
@@ -144,7 +146,7 @@ class ManifoldSample:
 
     @property
     def has_twist(self) -> bool:
-        return any(p.twist is not None for p in self.points)
+        return self.points[0].twist is not None
 
 
 @dataclass(frozen=True)
@@ -568,7 +570,8 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
     normalized_deviation = |estimate * r^n / I(k, r, n) - eta_integral|;
     with a twist the renormalized form already has expectation
     eta + Theta_F, so the deviation is |estimate - eta_integral| instead.
-    predicted_decay is C / log k with C matched on the first k.
+    predicted_decay is C / log k with C matched on the first k.  A non-finite
+    estimate, std error or eta integral raises FloatingPointError.
     """
     k_list = [int(k) for k in k_list]
     if k_list != sorted(k_list) or len(set(k_list)) != len(k_list):
@@ -590,6 +593,10 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
         else:
             scale = float(r**n / ikrn_exact(k, r, n))
         for q in q_list:
+            values = (est[(k, q)], se[(k, q)], eta_int[q])
+            if not all(map(math.isfinite, values)):
+                raise FloatingPointError(f"k={k}, q={q}: non-finite (estimate, std error, "
+                                         f"eta integral) = {values}")
             dev = abs(est[(k, q)] * scale - eta_int[q])
             if q not in decay_const:
                 decay_const[q] = dev * math.log(k) if k > 1 else 0.0

@@ -12,6 +12,10 @@ density (|r|-1)! prod x_s^{r_s-1} / prod (r_s-1)!, draw u_s uniform on the
 unit sphere of C^{r_s}, and average the weighted values of
 f(x_1^{a_1/2p} u_1, ..., x_k^{a_k/2p} u_k).  As p -> infinity the measure
 concentrates on the product of unit spheres.
+
+One estimator serves both :func:`integrate_fiber` and
+:func:`integrate_fiber_limit`: they differ in the stream key and in the
+draw, which for the limit (as for k = 1) is the spheres alone, with weight 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import dirichlet_integral, mean_std_error, sample_sphere_batch
+from .measures import dirichlet_integral, mean_std_error, sample_nu_batch, sample_sphere_batch
 from .rng import stream
 
 __all__ = [
@@ -143,7 +147,7 @@ def volume_closed_form(w: WeightSpec) -> Fraction:
     return Fraction(1, denom)
 
 
-def _sample_blocks(w: WeightSpec, n_samples: int, rng) -> tuple[np.ndarray, list]:
+def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
     """Uniform simplex draws with the Dirichlet-density importance weight.
 
     The true simplex density is (|r|-1)! prod x_s^{r_s-1} / prod (r_s-1)!;
@@ -152,14 +156,13 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng) -> tuple[np.ndarray, list
     identity) while the weights stay bounded since every r_s >= 1.
 
     Returns ``(weight, blocks)`` with ``blocks[s] = x_s^{a_s/2p} u_s`` of
-    shape (n_samples, r_s).  Draw order: gamma, then the spheres in block order.
+    shape (n_samples, r_s).  Draw order: gamma, then the spheres in block order;
+    the p -> infinity ``limit`` and k = 1 draw the spheres alone, with weight 1.
     """
-    k = w.k
-    if k == 1:
-        return np.ones(n_samples), [sample_sphere_batch(w.r[0], (n_samples,), rng)]
-    g = rng.gamma(shape=1.0, size=(n_samples, k))
-    x = g / g.sum(axis=1, keepdims=True)
-    const = 1 / (math.factorial(k - 1) * dirichlet_integral(w.r))
+    if limit or w.k == 1:
+        return 1.0, [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
+    x = sample_nu_batch(w.k, 1, n_samples, rng)
+    const = 1 / (math.factorial(w.k - 1) * dirichlet_integral(w.r))
     weight = float(const) * np.prod(
         x ** (np.asarray(w.r, dtype=float) - 1.0), axis=1)
     u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
@@ -177,6 +180,16 @@ def _evaluate(f: Callable, blocks: list, n_samples: int) -> np.ndarray:
     return vals
 
 
+def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool) -> tuple:
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    rng = stream(seed, "fiber", "limit" if limit else "p", w.a, w.r)
+    weight, blocks = _sample_blocks(w, n_samples, rng, limit)
+    mean, se = mean_std_error(_evaluate(f, blocks, n_samples) * weight)
+    scale = float(volume_closed_form(w))
+    return mean * scale, se * scale
+
+
 def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
                     ) -> tuple[float, float]:
     """Monte-Carlo estimate of the fiber integral of an invariant function.
@@ -187,13 +200,7 @@ def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
     return a real scalar.  Values are checked after the whole pass: a
     non-finite one raises :class:`FiberEvaluationError` at its first index.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    rng = stream(seed, "fiber", "p", w.a, w.r)
-    weight, blocks = _sample_blocks(w, n_samples, rng)
-    mean, se = mean_std_error(_evaluate(f, blocks, n_samples) * weight)
-    scale = float(volume_closed_form(w))
-    return mean * scale, se * scale
+    return _estimate(w, f, n_samples, seed, limit=False)
 
 
 def integrate_fiber_limit(w: WeightSpec, f: Callable, n_samples: int, seed: int
@@ -203,10 +210,4 @@ def integrate_fiber_limit(w: WeightSpec, f: Callable, n_samples: int, seed: int
     ``f`` gets the unit vectors (u_1, ..., u_k) under the same contract as
     in :func:`integrate_fiber`.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    rng = stream(seed, "fiber", "limit", w.a, w.r)
-    u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
-    mean, se = mean_std_error(_evaluate(f, u, n_samples))
-    scale = float(volume_closed_form(w))
-    return mean * scale, se * scale
+    return _estimate(w, f, n_samples, seed, limit=True)

@@ -125,13 +125,14 @@ TWISTED = json.dumps({"type": "explicit", "points": [
      "tensor": json.loads(tensor_to_json(random_tensor(2, 2, 1.0, 21))),
      "twist": [[[2.0, 0.0], [0.3, 0.1]], [[0.3, -0.1], [1.5, 0.0]]]},
     {"id": "b", "weight": 0.25,
-     "tensor": json.loads(tensor_to_json(random_tensor(2, 2, 1.0, 22)))}]})
+     "tensor": json.loads(tensor_to_json(random_tensor(2, 2, 1.0, 22))),
+     "twist": [[[1.0, 0.0], [-0.2, 0.4]], [[-0.2, -0.4], [0.5, 0.0]]]}]})
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("model, digest", [
     (MODEL, "ca0dcdd551e23600ecca39c732e3615c"),
-    (TWISTED, "faeb52235ec31d19af9c8774e86b6597"),
+    (TWISTED, "60a0c11c4245139f7778475b3c565739"),
 ])
 def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
     out = str(tmp_path / "m")
@@ -277,3 +278,43 @@ def test_exact_work_guard_exit3_fast(capsys):
     assert main(["ikrn", "--k", "2", "--r", "1", "--n", "4000", "--mode", "exact"]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert "ceiling" in capsys.readouterr().err
+
+
+def test_morse_non_finite_mid_run_exit4(tmp_path):
+    # finite input whose forms overflow: the estimates come out -inf/nan.
+    # Run as a subprocess, since pytest turns the overflow RuntimeWarning
+    # into an error.
+    model = json.dumps({"type": "random", "n": 3, "r": 2, "points": 2,
+                        "scale": 1e120, "seed": 1})
+    rc, out, err = _run(["morse", "--model", model, "--k-list", "2",
+                         "--samples", "100", "--seed", "1",
+                         "--out", str(tmp_path / "x")])
+    assert rc == 4
+    assert "numerical failure: k=2, q=1: non-finite" in err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
+def test_memory_error_exit3(monkeypatch, capsys):
+    import jetmorse.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(cli, "integrate_fiber", exhausted)
+    rc = main(["wps-volume", "--weights", "1,2", "--mults", "1,1",
+               "--samples", "10", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == "" and err == "resource ceiling: Unable to allocate 14.6 TiB\n"
+
+
+def test_morse_mixed_twist_model_exit2(tmp_path, capsys):
+    # only twisted points would be renormalized, so a mixed sample is refused
+    model = json.loads(TWISTED)
+    del model["points"][1]["twist"]
+    rc = main(["morse", "--model", json.dumps(model), "--k-list", "2",
+               "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "all twisted or all untwisted" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -233,10 +233,17 @@ def test_build_sample_explicit_roundtrip():
     from jetmorse.curvature import tensor_to_json
     t = random_tensor(2, 2, 1.0, 9)
     doc = {"type": "explicit", "points": [
-        {"id": "a", "weight": 0.5, "tensor": json.loads(tensor_to_json(t))},
+        {"id": "a", "weight": 0.5, "tensor": json.loads(tensor_to_json(t)),
+         "twist": [[[2.0, 0.0], [0.5, -0.5]], [[0.5, 0.5], [3.0, 0.0]]]},
         {"id": "b", "weight": 0.5, "tensor": json.loads(tensor_to_json(t)),
          "twist": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     ]}
     s = build_sample(doc)
-    assert s.points[1].twist is not None
+    assert s.has_twist
+    assert np.array_equal(s.points[0].twist.entries, [[2, 0.5 - 0.5j], [0.5 + 0.5j, 3]])
+    assert np.array_equal(s.points[1].twist.entries, np.eye(2))
     assert np.array_equal(s.points[0].tensor.c, t.c)
+    # a sample that mixes twisted and untwisted points is rejected
+    del doc["points"][0]["twist"]
+    with pytest.raises(ValueError, match="all twisted or all untwisted"):
+        build_sample(doc)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -170,6 +171,21 @@ def test_batched_sampler_matches_loop(a, r, limit):
     w = WeightSpec(a, r)
     _assert_matches_oracle(w, _blockwise, 3000, 17, limit)
     _assert_matches_oracle(w, lambda z: 1.0, 3000, 18, limit)
+
+
+# blake2b of the float.hex pair, pinned so that a refactor keeps every bit
+# of the p -> infinity limit and of the k = 1 branch (numpy 2.4 / OpenBLAS 0.3
+# on x86-64)
+@pytest.mark.parametrize("a, r, limit, digest", [
+    ((1,), (3,), False, "58b4e8172ae41210da33836db3eabd21"),
+    ((1,), (3,), True, "321c0fa1261bf744998194ca8ad213d9"),
+    ((1, 2), (2, 1), True, "6702237219510b879d94f0a477412a66"),
+    ((2, 3, 5), (1, 2, 3), True, "56eb049ca0b46ab7f83487c39e462cfb"),
+])
+def test_fiber_estimate_bytes_pinned(a, r, limit, digest):
+    est, se = _integrate(WeightSpec(a, r), _blockwise, 3000, 17, limit)
+    assert hashlib.blake2b(f"{est.hex()} {se.hex()}".encode(),
+                           digest_size=16).hexdigest() == digest
 
 
 @pytest.mark.parametrize("limit", [False, True])
