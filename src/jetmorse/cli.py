@@ -81,12 +81,7 @@ def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
 def cmd_ikrn(args) -> int:
     k, r, n = args.k, args.r, args.n
     if args.mode == "exact":
-        try:
-            value = ikrn_exact(k, r, n, method=args.method,
-                               term_ceiling=args.term_ceiling)
-        except ResourceLimitError as exc:
-            print(f"resource ceiling: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        value = ikrn_exact(k, r, n, method=args.method, term_ceiling=args.term_ceiling)
         print(f"exact {_rat(value)}")
     elif args.mode == "bounds":
         lo, hi = ikrn_bounds(k, r, n)

@@ -16,6 +16,11 @@ From the tensor we build:
 * its exact expectation H_k/(k r) eta,
 * the variance of the trace-free tensor over product spheres and a
   restart-based estimate of the sup norm over unit (zeta, u).
+
+Sampled forms live in the real hermitian coordinates that ``hermitian`` owns.
+This module owns the tensor map (:func:`_tensor_map`, a real (r*r, n*n)
+matrix): :func:`g_k_batch` and the ``morse_mc`` kernel both take fiber
+matrices to forms through :func:`_apply_tensor`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import HermitianForm, _symmetrized
+from .hermitian import (HermitianForm, _herm_basis, _herm_coords, _herm_matrices,
+                        _symmetrized, _triu_pairs)
 from .jet_combinatorics import harmonic
 from .measures import mean_std_error, sample_sphere_batch
 from .rng import stream
@@ -96,9 +102,60 @@ def curvature_pairing(t: CurvatureTensor, zeta: np.ndarray, u: np.ndarray) -> fl
     return -float(np.real(s))
 
 
-def _base_form(t: CurvatureTensor, u: np.ndarray) -> np.ndarray:
-    """n x n matrix sum_{ab} c[i,j,a,b] u_a conj(u_b)."""
-    return np.einsum("ijab,a,b->ij", t.c, u, u.conj())
+def _outer_coords(u: np.ndarray) -> np.ndarray:
+    """Coordinates (r*r, ...) of the hermitian outer products u u* of (..., r) vectors.
+
+    The coordinate axis comes first, so that each coordinate is one
+    contiguous plane.  The diagonal planes are filled in place; each pair
+    above the diagonal takes one complex product u_a conj(u_b).
+    """
+    r = u.shape[-1]
+    planes = np.moveaxis(u, -1, 0)
+    out = np.empty((r * r,) + u.shape[:-1])
+    for a in range(r):
+        np.multiply(planes[a].real, planes[a].real, out=out[a])
+        out[a] += planes[a].imag ** 2
+    iu, ju = _triu_pairs(r)
+    for i, (a, b) in enumerate(zip(iu, ju), start=r):
+        z = planes[a] * planes[b].conj()
+        out[i] = z.real
+        out[i + iu.size] = z.imag
+    return out
+
+
+def _tensor_map(t: CurvatureTensor) -> np.ndarray:
+    """(r*r, n*n) real matrix of H -> sum_ab c[i,j,a,b] H[a,b] in coordinates."""
+    n, r = t.n, t.r
+    images = _herm_basis(r) @ t.c.reshape(n * n, r * r).T
+    return _herm_coords(images.reshape(r * r, n, n))
+
+
+# Largest matrix product, in multiply-adds, handed to BLAS in one call.
+# OpenBLAS runs products above 2^18 multiply-adds on its own threads, which
+# then compete with the point pool for the same cores.
+_BLAS_BLOCK = 1 << 18
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in blocks small enough for BLAS to keep each on the calling thread."""
+    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+    if rows * inner * cols <= _BLAS_BLOCK:
+        return a @ b
+    out = np.empty((rows, cols))
+    if rows >= cols:
+        step = max(1, _BLAS_BLOCK // (inner * cols))
+        for lo in range(0, rows, step):
+            np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+    else:
+        step = max(1, _BLAS_BLOCK // (inner * rows))
+        for lo in range(0, cols, step):
+            np.matmul(a, b[:, lo:lo + step], out=out[:, lo:lo + step])
+    return out
+
+
+def _apply_tensor(t: CurvatureTensor, fiber: np.ndarray) -> np.ndarray:
+    """Forms (n*n, m) in coordinates of m fiber matrices (r*r, m) in coordinates."""
+    return _matmul(_tensor_map(t).T, fiber)
 
 
 def g_k_batch(t: CurvatureTensor, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -107,10 +164,9 @@ def g_k_batch(t: CurvatureTensor, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     x has shape (m, k) and u shape (m, k, r); entries are
     sum_s (x_s/s) sum_{ab} c[i,j,a,b] u_s[a] conj(u_s[b]).
     """
-    k = x.shape[1]
-    weights = x / np.arange(1, k + 1)
-    uu = np.einsum("msa,msb->msab", u, u.conj())
-    return np.einsum("ms,msab,ijab->mij", weights, uu, t.c, optimize=True)
+    weights = x / np.arange(1, x.shape[1] + 1)
+    fiber = np.einsum("xms,ms->xm", _outer_coords(u), weights)
+    return _herm_matrices(_apply_tensor(t, fiber).T, t.n)
 
 
 def expected_g_k(t: CurvatureTensor, k: int) -> HermitianForm:
@@ -165,7 +221,7 @@ def sup_norm(t: CurvatureTensor, restarts: int, seed: int,
         for _ in range(max_iter):
             # top eigenvector of the quadratic form in our index convention
             # is the conjugate of the matrix eigenvector
-            base = _base_form(t, u)
+            base = np.einsum("ijab,a,b->ij", t.c, u, u.conj())
             lam, vecs = np.linalg.eigh(base)
             zeta = np.conj(vecs[:, np.argmax(np.abs(lam))])
             fiber = np.einsum("ijab,i,j->ab", t.c, zeta, zeta.conj())

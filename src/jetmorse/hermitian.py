@@ -10,6 +10,9 @@ and dim-q positive eigenvalues (no nullity at the working tolerance).
 One validator, shared with ``curvature.CurvatureTensor``, admits finite input
 hermitian to ``_SYM_TOL`` and stores the exact mean 0.5 a + 0.5 a*.
 
+It also owns the real coordinates of hermitian matrices (:func:`_herm_coords`,
+inverse :func:`_herm_matrices`) that ``curvature`` and ``morse_mc`` share.
+
 Each form eigensolves once and keeps its spectrum twice: the read-only
 ndarray :attr:`HermitianForm.spectrum`, and a tuple of Python floats that
 :func:`signature`, :func:`signed_index_det`, :func:`operator_norm` and
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,6 +113,48 @@ def _symmetrized(a: np.ndarray, axes: tuple, what: str, asymmetric: str) -> np.n
     a = 0.5 * a + 0.5 * h
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=16)
+def _triu_pairs(d: int) -> tuple:
+    """Row and column indices of the strict upper triangle of a d x d matrix."""
+    pairs = np.triu_indices(d, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def _herm_coords(a: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., d*d) of hermitian matrices (..., d, d).
+
+    The diagonal comes first, then the real and then the imaginary parts of
+    the strict upper triangle in row-major order.
+    """
+    iu, ju = _triu_pairs(a.shape[-1])
+    off = a[..., iu, ju]
+    return np.concatenate([np.diagonal(a, axis1=-2, axis2=-1).real,
+                           off.real, off.imag], axis=-1)
+
+
+def _herm_matrices(f: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`_herm_coords`: (..., d*d) coordinates to (..., d, d)."""
+    iu, ju = _triu_pairs(d)
+    p = iu.size
+    a = np.zeros(f.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    a[..., diag, diag] = f[..., :d]
+    off = f[..., d:d + p] + 1j * f[..., d + p:]
+    a[..., iu, ju] = off
+    a[..., ju, iu] = off.conj()
+    return a
+
+
+@lru_cache(maxsize=16)
+def _herm_basis(d: int) -> np.ndarray:
+    """(d*d, d*d) complex: row x is the flattened matrix with coordinates e_x."""
+    basis = _herm_matrices(np.eye(d * d), d).reshape(d * d, d * d)
+    basis.setflags(write=False)
+    return basis
 
 
 def eigenvalues(a: HermitianForm) -> np.ndarray:

@@ -102,10 +102,6 @@ class CompleteIntersectionSpec:
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "a", a)
 
-    @property
-    def degree_sum(self) -> int:
-        return sum(self.degrees)
-
 
 def fubini_study_tensor(n: int) -> CurvatureTensor:
     """Tangent-bundle curvature of projective n-space, r = n, eta = -(n+1) id."""
@@ -269,7 +265,7 @@ def random_tensor(n: int, r: int, scale: float, seed: int) -> CurvatureTensor:
 def ci_threshold(spec: CompleteIntersectionSpec) -> float:
     """Natural log of the jet-order threshold 7.38 n^{n+1/2} ((D+1)/(D-n-s-a-1))^n."""
     n, s, a = spec.n, spec.s, spec.a
-    total = spec.degree_sum
+    total = sum(spec.degrees)
     margin = Fraction(total) - (n + s + a + 1)
     if margin <= 0:
         raise ValueError(

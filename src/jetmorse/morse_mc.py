@@ -13,9 +13,11 @@ eta.  The comparison is normalized through the exact rational I(k, r, n)
 so that normalized_deviation should decay like 1/log k.
 
 Kernel: each chunk of draws is processed once for every k of a study.
-Hermitian matrices are handled in real coordinates (diagonal, then real
-and imaginary parts of the upper triangle).  The draws are standard complex
-Gaussian vectors v_s in C^r.  By the polar identity, g_s = |v_s|^2 is a
+Hermitian matrices are handled in the real coordinates that ``hermitian``
+owns (diagonal, then real and imaginary parts of the upper triangle), and
+the tensor is applied through ``curvature``'s tensor map, the same path as
+``curvature.g_k_batch``.  The draws are standard complex Gaussian vectors
+v_s in C^r.  By the polar identity, g_s = |v_s|^2 is a
 Gamma(r) variable independent of u_s = v_s / |v_s|, which is uniform on the
 unit sphere, and g_s u_s u_s* = v_s v_s*.  With x_s = g_s / G_k and
 G_k = sum_{s<=k} g_s, the fiber matrix of the sampled form is therefore
@@ -49,20 +51,22 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .curvature import CurvatureTensor, _apply_tensor, _matmul, _outer_coords, eta
+from .hermitian import HermitianForm, _herm_coords, _herm_matrices, signed_index_det
+from .jet_combinatorics import harmonic, ikrn_exact
+from .rng import stream
+
 # g_k_batch and sample_sphere_batch are not called here: bench/tracing.py
 # wraps both by name on this module.
-from .curvature import CurvatureTensor, eta, g_k_batch  # noqa: F401
-from .hermitian import HermitianForm, signed_index_det
-from .jet_combinatorics import harmonic, ikrn_exact
+from .curvature import g_k_batch  # noqa: F401
 from .measures import sample_sphere_batch  # noqa: F401
-from .rng import stream
 
 __all__ = [
     "ManifoldPoint",
@@ -195,20 +199,9 @@ class MorseReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for r in self.rows:
-            rows.append({
-                "k": r.k, "q": r.q,
-                "reduced_estimate": r.reduced_estimate,
-                "std_error": r.std_error,
-                "eta_integral": r.eta_integral,
-                "normalized_deviation": r.normalized_deviation,
-                "predicted_decay": r.predicted_decay,
-                "degenerate_fraction": r.degenerate_fraction,
-                "log_full_constant": r.log_full_constant,
-                "full_constant": {"num": str(r.full_constant.numerator),
-                                  "den": str(r.full_constant.denominator)},
-            })
+        rows = [dict(asdict(r), full_constant={"num": str(r.full_constant.numerator),
+                                               "den": str(r.full_constant.denominator)})
+                for r in self.rows]
         return {"rows": rows}
 
 
@@ -258,99 +251,6 @@ def twist_delta(k: int, r: int) -> Fraction:
 _SCREEN_EPS = 64 * np.finfo(float).eps
 
 
-@lru_cache(maxsize=16)
-def _triu_pairs(d: int) -> tuple:
-    """Row and column indices of the strict upper triangle of a d x d matrix."""
-    pairs = np.triu_indices(d, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
-
-
-def _herm_coords(a: np.ndarray) -> np.ndarray:
-    """Real coordinates (..., d*d) of hermitian matrices (..., d, d).
-
-    The diagonal comes first, then the real and then the imaginary parts of
-    the strict upper triangle in row-major order.
-    """
-    iu, ju = _triu_pairs(a.shape[-1])
-    off = a[..., iu, ju]
-    return np.concatenate([np.diagonal(a, axis1=-2, axis2=-1).real,
-                           off.real, off.imag], axis=-1)
-
-
-def _herm_matrices(f: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`_herm_coords`: (..., d*d) coordinates to (..., d, d)."""
-    iu, ju = _triu_pairs(d)
-    p = iu.size
-    a = np.zeros(f.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    a[..., diag, diag] = f[..., :d]
-    off = f[..., d:d + p] + 1j * f[..., d + p:]
-    a[..., iu, ju] = off
-    a[..., ju, iu] = off.conj()
-    return a
-
-
-@lru_cache(maxsize=16)
-def _herm_basis(d: int) -> np.ndarray:
-    """(d*d, d*d) complex: row x is the flattened matrix with coordinates e_x."""
-    basis = _herm_matrices(np.eye(d * d), d).reshape(d * d, d * d)
-    basis.setflags(write=False)
-    return basis
-
-
-def _outer_coords(u: np.ndarray) -> np.ndarray:
-    """Coordinates (r*r, ...) of the hermitian outer products u u* of (..., r) vectors.
-
-    The coordinate axis comes first, so that each coordinate is one
-    contiguous plane.  The diagonal planes are filled in place; each pair
-    above the diagonal takes one complex product u_a conj(u_b).
-    """
-    r = u.shape[-1]
-    planes = np.moveaxis(u, -1, 0)
-    out = np.empty((r * r,) + u.shape[:-1])
-    for a in range(r):
-        np.multiply(planes[a].real, planes[a].real, out=out[a])
-        out[a] += planes[a].imag ** 2
-    iu, ju = _triu_pairs(r)
-    for i, (a, b) in enumerate(zip(iu, ju), start=r):
-        z = planes[a] * planes[b].conj()
-        out[i] = z.real
-        out[i + iu.size] = z.imag
-    return out
-
-
-def _tensor_map(t: CurvatureTensor) -> np.ndarray:
-    """(r*r, n*n) real matrix of H -> sum_ab c[i,j,a,b] H[a,b] in coordinates."""
-    n, r = t.n, t.r
-    images = _herm_basis(r) @ t.c.reshape(n * n, r * r).T
-    return _herm_coords(images.reshape(r * r, n, n))
-
-
-# Largest matrix product, in multiply-adds, handed to BLAS in one call.
-# OpenBLAS runs products above 2^18 multiply-adds on its own threads, which
-# then compete with the point pool for the same cores.
-_BLAS_BLOCK = 1 << 18
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in blocks small enough for BLAS to keep each on the calling thread."""
-    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
-    if rows * inner * cols <= _BLAS_BLOCK:
-        return a @ b
-    out = np.empty((rows, cols))
-    if rows >= cols:
-        step = max(1, _BLAS_BLOCK // (inner * cols))
-        for lo in range(0, rows, step):
-            np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
-    else:
-        step = max(1, _BLAS_BLOCK // (inner * rows))
-        for lo in range(0, cols, step):
-            np.matmul(a, b[:, lo:lo + step], out=out[:, lo:lo + step])
-    return out
-
-
 @lru_cache(maxsize=64)
 def _prefix_weights(k_list: tuple) -> np.ndarray:
     """(k_max, 2K) read-only matrix of the prefix sums over s of a study's k.
@@ -388,7 +288,7 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray,
     if point.twist is not None:
         total /= [k * r / float(harmonic(k)) for k in k_list]
     fiber = (sums[:, :, :n_k] / total).transpose(0, 2, 1).reshape(r * r, -1)
-    forms = _matmul(_tensor_map(t).T, fiber).reshape(t.n * t.n, n_k, m)
+    forms = _apply_tensor(t, fiber).reshape(t.n * t.n, n_k, m)
     if point.twist is not None:
         forms += _herm_coords(point.twist.entries)[:, None, None]
     return forms
@@ -486,7 +386,9 @@ def _merge(a: tuple, b: tuple) -> tuple:
 def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     """Inner MC for one quadrature point, all k and q at once.
 
-    Returns ({(k, q): (mean, se)}, {k: degenerate_fraction}).
+    Returns ({(k, q): (mean, se)}, {k: degenerate_fraction}).  Overflow is
+    not warned about, since :func:`_run_points` rejects its non-finite
+    results; the errstate is set here because it does not carry into threads.
     """
     r = point.tensor.r
     k_max = max(k_list)
@@ -494,22 +396,30 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     acc = {(k, q): (0, 0.0, 0.0) for k in k_list for q in q_list}
     degen = dict.fromkeys(k_list, 0)
     done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        v = rng.standard_normal((m, k_max, 2 * r)).view(complex)
-        forms = _chunk_forms(point, v, k_list)
-        for j, k in enumerate(k_list):
-            stats, d = _index_stats(forms[:, j].T, q_list, tol)
-            degen[k] += d
-            for q, (mean, m2) in zip(q_list, stats):
-                acc[(k, q)] = _merge(acc[(k, q)], (m, mean, m2))
-        done += m
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while done < n_samples:
+            m = min(_CHUNK, n_samples - done)
+            v = rng.standard_normal((m, k_max, 2 * r)).view(complex)
+            forms = _chunk_forms(point, v, k_list)
+            for j, k in enumerate(k_list):
+                stats, d = _index_stats(forms[:, j].T, q_list, tol)
+                degen[k] += d
+                for q, (mean, m2) in zip(q_list, stats):
+                    acc[(k, q)] = _merge(acc[(k, q)], (m, mean, m2))
+            done += m
     out = {key: (mean, math.sqrt(m2 / (n_samples - 1) / n_samples))
            for key, (_, mean, m2) in acc.items()}
     return out, {k: degen[k] / n_samples for k in k_list}
 
 
 def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
+    """Point-weighted ({(k, q): estimate}, {(k, q): std error}, {k: degenerate fraction}).
+
+    Raises FloatingPointError at the first (k, q), k-major, whose estimate
+    or std error is not finite.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
     if min(k_list) < 1:
@@ -526,20 +436,20 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_point_study, p, *args) for p in M.points]
             results = [f.result() for f in futures]
-    est, var, degen = {}, {}, {}
+    est, se, degen = {}, {}, {}
     for k in k_list:
-        frac_terms = []
-        for p, (stats, dfrac) in zip(M.points, results):
-            frac_terms.append(p.weight * dfrac[k])
-        degen[k] = math.fsum(frac_terms) / M.total_volume
+        degen[k] = math.fsum(p.weight * dfrac[k]
+                             for p, (_, dfrac) in zip(M.points, results)) / M.total_volume
         for q in q_list:
             est[(k, q)] = math.fsum(
                 p.weight * stats[(k, q)][0]
                 for p, (stats, _) in zip(M.points, results))
-            var[(k, q)] = math.fsum(
+            se[(k, q)] = math.sqrt(math.fsum(
                 (p.weight * stats[(k, q)][1]) ** 2
-                for p, (stats, _) in zip(M.points, results))
-    se = {key: math.sqrt(v) for key, v in var.items()}
+                for p, (stats, _) in zip(M.points, results)))
+            if not (math.isfinite(est[(k, q)]) and math.isfinite(se[(k, q)])):
+                raise FloatingPointError(f"k={k}, q={q}: non-finite (estimate, std error) "
+                                         f"= {(est[(k, q)], se[(k, q)])}")
     return est, se, degen
 
 
@@ -549,10 +459,9 @@ def reduced_morse_integral(M: ManifoldSample, k: int, q: int, n_samples: int,
     """MC estimate of sum_p w_p E[1_{form,q} det(form)] over the sampled forms.
 
     Returns (estimate, std_error).  q > n returns (0, 0) exactly: an n x n
-    form cannot have index exceeding n.
+    form cannot have index exceeding n.  A non-finite estimate or std error
+    raises FloatingPointError.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     if q < 0:
         raise ValueError("q must be nonnegative")
     if q > M.n:
@@ -571,7 +480,8 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
     with a twist the renormalized form already has expectation
     eta + Theta_F, so the deviation is |estimate - eta_integral| instead.
     predicted_decay is C / log k with C matched on the first k.  A non-finite
-    estimate, std error or eta integral raises FloatingPointError.
+    estimate, std error (see :func:`_run_points`) or eta integral raises
+    FloatingPointError.
     """
     k_list = [int(k) for k in k_list]
     if k_list != sorted(k_list) or len(set(k_list)) != len(k_list):
@@ -579,11 +489,12 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
     q_list = [int(q)] if np.isscalar(q) else [int(v) for v in q]
     if any(v < 0 or v > M.n for v in q_list):
         raise ValueError("q must lie in [0, n]")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     n, r = M.n, M.r
     est, se, degen = _run_points(M, k_list, q_list, n_samples, seed, tol, workers)
     eta_int = _eta_index_integrals(M, q_list, tol)
+    for q in q_list:
+        if not math.isfinite(eta_int[q]):
+            raise FloatingPointError(f"q={q}: non-finite eta integral {eta_int[q]}")
     rows = []
     decay_const = {}
     for k in k_list:
@@ -593,10 +504,6 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
         else:
             scale = float(r**n / ikrn_exact(k, r, n))
         for q in q_list:
-            values = (est[(k, q)], se[(k, q)], eta_int[q])
-            if not all(map(math.isfinite, values)):
-                raise FloatingPointError(f"k={k}, q={q}: non-finite (estimate, std error, "
-                                         f"eta integral) = {values}")
             dev = abs(est[(k, q)] * scale - eta_int[q])
             if q not in decay_const:
                 decay_const[q] = dev * math.log(k) if k > 1 else 0.0

@@ -291,6 +291,7 @@ def test_morse_non_finite_mid_run_exit4(tmp_path):
                          "--out", str(tmp_path / "x")])
     assert rc == 4
     assert "numerical failure: k=2, q=1: non-finite" in err
+    assert "Warning" not in err
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmorse.curvature import (CurvatureTensor, curvature_pairing, eta,
+from jetmorse.curvature import (CurvatureTensor, _tensor_map, curvature_pairing, eta,
                                 expected_g_k, g_k_batch, q_form, sigma_variance,
                                 sup_norm, tensor_from_json, tensor_to_json,
                                 trace_free)
+from jetmorse.hermitian import _herm_basis, _herm_coords, _herm_matrices, _triu_pairs
 from jetmorse.measures import sample_nu_batch, sample_sphere_batch
 from jetmorse.models import fubini_study_tensor, random_tensor
 from jetmorse.rng import stream
@@ -51,19 +52,37 @@ def test_q_form_and_pairing_consistency():
     assert curvature_pairing(t, zeta, u) == pytest.approx(-q.quadratic(u))
 
 
-def test_g_k_single_vs_batch():
-    t = random_tensor(2, 2, 1.0, 4)
-    rng = stream(7, "gk")
-    k = 3
-    x = sample_nu_batch(k, t.r, 1, rng)[0]
-    u = sample_sphere_batch(t.r, (k,), rng)
-    # entry formula: sum_s (x_s/s) sum_ab c[i,j,a,b] u_s[a] conj(u_s[b])
-    single = np.zeros((t.n, t.n), dtype=complex)
-    for s in range(k):
-        for i, j, a, b in np.ndindex(t.c.shape):
-            single[i, j] += x[s] / (s + 1) * t.c[i, j, a, b] * u[s, a] * np.conj(u[s, b])
-    batch = g_k_batch(t, x[None, :], u[None])
-    assert np.allclose(single, batch[0])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_g_k_single_vs_batch(n, r, k):
+    t = random_tensor(n, r, 1.0, 4)
+    rng = stream(7, "gk", n, r, k)
+    x = sample_nu_batch(k, r, 3, rng)
+    u = sample_sphere_batch(r, (3, k), rng)
+    batch = g_k_batch(t, x, u)
+    assert batch.shape == (3, n, n)
+    for xm, um, got in zip(x, u, batch):
+        # entry formula: sum_s (x_s/s) sum_ab c[i,j,a,b] u_s[a] conj(u_s[b])
+        single = np.zeros((n, n), dtype=complex)
+        for s in range(k):
+            for i, j, a, b in np.ndindex(t.c.shape):
+                single[i, j] += xm[s] / (s + 1) * t.c[i, j, a, b] * um[s, a] * np.conj(um[s, b])
+        assert np.abs(got - single).max() <= 1e-13 * np.abs(single).max()
+
+
+def test_tensor_map_matches_einsum_build():
+    # the cached-basis map against a fresh einsum over the basis matrices
+    for n in range(1, 5):
+        for r in range(1, 4):
+            t = random_tensor(n, r, 1.0, 80 + 4 * n + r)
+            basis = _herm_matrices(np.eye(r * r), r)
+            want = _herm_coords(np.einsum("ijab,xab->xij", t.c, basis))
+            got = _tensor_map(t)
+            assert got.shape == (r * r, n * n)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert not _herm_basis(2).flags.writeable
+    assert not _triu_pairs(3)[0].flags.writeable
 
 
 def test_expected_g_k_mc():

@@ -9,7 +9,7 @@ from jetmorse import morse_mc
 from jetmorse.curvature import CurvatureTensor, g_k_batch, trace_free
 from jetmorse.hermitian import HermitianForm
 from jetmorse.jet_combinatorics import harmonic, ikrn_exact
-from jetmorse.models import fubini_study_tensor, random_tensor
+from jetmorse.models import build_sample, fubini_study_tensor, random_tensor
 from jetmorse.morse_mc import (ManifoldPoint, ManifoldSample, MorseReport,
                                MorseRow, convergence_study, eta_index_integral,
                                full_morse_constant, reduced_morse_integral,
@@ -106,6 +106,16 @@ def test_reduced_scalar_k2():
 def test_reduced_q_above_n_is_zero():
     M = _single(random_tensor(2, 2, 1.0, 5))
     assert reduced_morse_integral(M, 3, 5, 100, 1, 1e-9) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reduced_non_finite_raises(workers):
+    # finite input whose forms overflow: the estimate comes out -inf/nan;
+    # the overflow itself must not warn (RuntimeWarning fails this suite)
+    M = build_sample({"type": "random", "n": 3, "r": 2, "points": 2,
+                      "scale": 1e120, "seed": 1})
+    with pytest.raises(FloatingPointError, match="k=2, q=1: non-finite"):
+        reduced_morse_integral(M, 2, 1, 100, 1, 1e-9, workers=workers)
 
 
 def test_rank1_factorization():
@@ -346,17 +356,3 @@ def test_bad_thread_env_rejected(monkeypatch, env):
     with pytest.raises(ValueError, match="JETMORSE_THREADS"):
         reduced_morse_integral(M, 2, 1, 200, 4, 1e-9)
     assert seen == []
-
-
-def test_tensor_map_matches_einsum_build():
-    # the cached-basis map against a fresh einsum over the basis matrices
-    for n in range(1, 5):
-        for r in range(1, 4):
-            t = random_tensor(n, r, 1.0, 80 + 4 * n + r)
-            basis = morse_mc._herm_matrices(np.eye(r * r), r)
-            want = morse_mc._herm_coords(np.einsum("ijab,xab->xij", t.c, basis))
-            got = morse_mc._tensor_map(t)
-            assert got.shape == (r * r, n * n)
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert not morse_mc._herm_basis(2).flags.writeable
-    assert not morse_mc._triu_pairs(3)[0].flags.writeable
