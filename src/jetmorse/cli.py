@@ -81,7 +81,7 @@ def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
 def cmd_ikrn(args) -> int:
     k, r, n = args.k, args.r, args.n
     if args.mode == "exact":
-        value = ikrn_exact(k, r, n, method=args.method, term_ceiling=args.term_ceiling)
+        value = ikrn_exact(k, r, n)
         print(f"exact {_rat(value)}")
     elif args.mode == "bounds":
         lo, hi = ikrn_bounds(k, r, n)
@@ -179,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "bounds", "asymptotic", "mc"],
                    default="exact")
-    p.add_argument("--method", choices=["series", "enumerate"],
-                   default="series",
-                   help="exact-mode algorithm; enumerate is the literal "
-                        "composition sum with a term ceiling")
-    p.add_argument("--term-ceiling", type=int, default=10**8)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_ikrn)

@@ -26,6 +26,7 @@ matrices to forms through :func:`_apply_tensor`.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,8 +178,12 @@ def expected_g_k(t: CurvatureTensor, k: int) -> HermitianForm:
     return HermitianForm(factor * eta(t).entries)
 
 
-def sigma_variance(t: CurvatureTensor, n_zeta: int, seed: int,
-                   eta_tol: float = 1e-8) -> tuple[float, float]:
+# sigma_variance warns when |eta| > _ETA_TOL max(1, |c|); a sup_norm restart
+# stops when the value moves by <= _SUP_TOL max(1, value) or after _SUP_MAX_ITER.
+_ETA_TOL, _SUP_TOL, _SUP_MAX_ITER = 1e-8, 1e-10, 200
+
+
+def sigma_variance(t: CurvatureTensor, n_zeta: int, seed: int) -> tuple[float, float]:
     """Estimate of the squared deviation of a trace-free tensor over unit (zeta, u).
 
     The inner u-average is closed form (sum of squared eigenvalues of the
@@ -188,9 +193,7 @@ def sigma_variance(t: CurvatureTensor, n_zeta: int, seed: int,
     if n_zeta < 2:
         raise ValueError("n_zeta must be >= 2")
     e = eta(t)
-    if float(np.abs(e.entries).max()) > eta_tol * max(1.0, float(np.abs(t.c).max())):
-        import warnings
-
+    if float(np.abs(e.entries).max()) > _ETA_TOL * max(1.0, float(np.abs(t.c).max())):
         warnings.warn("sigma_variance expects a trace-free tensor; "
                       "pass trace_free(T)", stacklevel=2)
     rng = stream(seed, "sigma", t.n, t.r)
@@ -201,8 +204,7 @@ def sigma_variance(t: CurvatureTensor, n_zeta: int, seed: int,
     return mean_std_error(np.sum(lam**2, axis=1) / (r * (r + 1)))
 
 
-def sup_norm(t: CurvatureTensor, restarts: int, seed: int,
-             tol: float = 1e-10, max_iter: int = 200) -> float:
+def sup_norm(t: CurvatureTensor, restarts: int, seed: int) -> float:
     """Lower-bound estimate of sup over unit (zeta, u) of |sum c zeta conj(zeta) u conj(u)|.
 
     Alternating maximization: for fixed u the optimum over zeta is the
@@ -218,7 +220,7 @@ def sup_norm(t: CurvatureTensor, restarts: int, seed: int,
         zeta = sample_sphere_batch(t.n, (), rng)
         u = sample_sphere_batch(t.r, (), rng)
         value = 0.0
-        for _ in range(max_iter):
+        for _ in range(_SUP_MAX_ITER):
             # top eigenvector of the quadratic form in our index convention
             # is the conjugate of the matrix eigenvector
             base = np.einsum("ijab,a,b->ij", t.c, u, u.conj())
@@ -227,9 +229,8 @@ def sup_norm(t: CurvatureTensor, restarts: int, seed: int,
             fiber = np.einsum("ijab,i,j->ab", t.c, zeta, zeta.conj())
             lam, vecs = np.linalg.eigh(fiber)
             u = np.conj(vecs[:, np.argmax(np.abs(lam))])
-            new_value = abs(float(np.real(
-                np.einsum("ijab,i,j,a,b->", t.c, zeta, zeta.conj(), u, u.conj()))))
-            if abs(new_value - value) <= tol * max(1.0, new_value):
+            new_value = abs(curvature_pairing(t, zeta, u))
+            if abs(new_value - value) <= _SUP_TOL * max(1.0, new_value):
                 value = new_value
                 break
             value = new_value

@@ -41,7 +41,6 @@ __all__ = [
     "sphere_second_moment",
     "trace_free_part",
     "operator_norm",
-    "default_tolerance",
 ]
 
 _SYM_TOL = 1e-12
@@ -160,11 +159,6 @@ def _herm_basis(d: int) -> np.ndarray:
 def eigenvalues(a: HermitianForm) -> np.ndarray:
     """Ascending real eigenvalues of the form (its cached, read-only spectrum)."""
     return a.spectrum
-
-
-def default_tolerance(a: HermitianForm) -> float:
-    """Default nullity band: 1e-9 * max(1, operator norm)."""
-    return 1e-9 * max(1.0, operator_norm(a))
 
 
 def signature(a: HermitianForm, tol: float) -> tuple[int, int, int]:

@@ -165,43 +165,37 @@ def _moment_numerators(r: int, nums: list) -> list:
     return g
 
 
-def ikrn_exact(k: int, r: int, n: int, *, term_ceiling: int = 10**8,
-               method: str = "series") -> Fraction:
+def ikrn_exact(k: int, r: int, n: int) -> Fraction:
     """Exact rational value of I(k, r, n).
 
-    ``method="series"`` takes the coefficient of t^n in
-    prod_{s<=k} (1 - t/s)^{-r}, which is algebraically identical to summing
-    the weak-composition expansion.  It runs in integers: the power sums
-    p_m = N_m / D^m (D = lcm(1..k)) from one binary-splitting pass, then
-    G_j = D^j f_j from the integral form of the exponential recurrence, and
-    I = n! G_n / (kr (kr+1) ... (kr+n-1) D^n), reduced once.  It raises
-    :class:`ResourceLimitError` up front when D^n would exceed
+    The coefficient of t^n in prod_{s<=k} (1 - t/s)^{-r}, which is
+    algebraically identical to the weak-composition sum, in integers: the
+    power sums p_m = N_m / D^m (D = lcm(1..k)) from one binary-splitting
+    pass, G_j = D^j f_j from the integral form of the exponential
+    recurrence, and I = n! G_n / (kr (kr+1) ... (kr+n-1) D^n), reduced
+    once.  Raises :class:`ResourceLimitError` up front when D^n would exceed
     ``EXACT_BIT_CEILING`` bits or the recurrence ``EXACT_WORK_CEILING``.
-    ``method="enumerate"`` performs the literal composition sum (useful as
-    an independent oracle) and is guarded by ``term_ceiling``.
     """
     if k < 1 or r < 1 or n < 0:
         raise ValueError("require k >= 1, r >= 1, n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if k == 1:
-        return Fraction(1)  # x_1 = 1 forced on the zero-dimensional simplex
-    if method == "series":
-        d, nums = _power_numerators(k, n)
-        g = _moment_numerators(r, nums)
-        return Fraction(math.factorial(n) * g[n], _rising(k * r, n) * d**n)
-    if method == "enumerate":
-        count = math.comb(n + k - 1, n)
-        if count > term_ceiling:
-            raise ResourceLimitError(
-                f"composition count {count} exceeds ceiling {term_ceiling}")
-        return _ikrn_enumerate(k, r, n)
-    raise ValueError(f"unknown method {method!r}")
+    if n == 0 or k == 1:
+        return Fraction(1)  # at k = 1, x_1 = 1 on the zero-dimensional simplex
+    d, nums = _power_numerators(k, n)
+    g = _moment_numerators(r, nums)
+    return Fraction(math.factorial(n) * g[n], _rising(k * r, n) * d**n)
+
+
+_ENUMERATE_CEILING = 10**8  # largest composition count _ikrn_enumerate sums
 
 
 def _ikrn_enumerate(k: int, r: int, n: int) -> Fraction:
+    """I(k, r, n) as the literal composition sum: the tests' oracle for ikrn_exact."""
     from .measures import nu_moment
 
+    count = math.comb(n + k - 1, n)
+    if count > _ENUMERATE_CEILING:
+        raise ResourceLimitError(
+            f"composition count {count} exceeds ceiling {_ENUMERATE_CEILING}")
     total = Fraction(0)
     n_fact = math.factorial(n)
 

@@ -48,7 +48,6 @@ __all__ = [
     "fubini_study_tensor",
     "hypersurface_tensor",
     "fermat_second_fundamental_form",
-    "fermat_tangent_tensor",
     "fermat_sample",
     "random_tensor",
     "ci_threshold",
@@ -76,9 +75,6 @@ class SecondFundamentalForm:
                 raise ValueError("beta must be symmetric in its two lower indices")
         b.setflags(write=False)
         object.__setattr__(self, "beta", b)
-
-    def apply(self, zeta: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.einsum("sia,i,a->s", self.beta, zeta, u)
 
 
 @dataclass(frozen=True)
@@ -223,10 +219,6 @@ def fermat_second_fundamental_form(n: int, d: int, point: Sequence[complex]
     return SecondFundamentalForm(b)
 
 
-def fermat_tangent_tensor(n: int, d: int, point: Sequence[complex]) -> CurvatureTensor:
-    return hypersurface_tensor(fermat_second_fundamental_form(n, d, point), n)
-
-
 def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
     """Weighted quadrature of curvature tensors at random hypersurface points."""
     if count < 1:
@@ -274,7 +266,10 @@ def ci_threshold(spec: CompleteIntersectionSpec) -> float:
     return 7.38 * n ** (n + 0.5) * float(ratio) ** n
 
 
-def j_bound(M: ManifoldSample, k: int, restarts: int = 8, seed: int = 0) -> float:
+_J_RESTARTS = 8  # restarts of each sup_norm in j_bound
+
+
+def j_bound(M: ManifoldSample, k: int, seed: int = 0) -> float:
     """Quadrature bound n r^{1/2} (sum_{s<=k} 1/s^2)^{1/2} sum_p w |T~| sum_i r^i |T|^i |eta|^{n-1-i}.
 
     Norms of the full and trace-free tensors come from the restart
@@ -292,8 +287,8 @@ def j_bound(M: ManifoldSample, k: int, restarts: int = 8, seed: int = 0) -> floa
         tf = trace_free(p.tensor)
         if float(np.abs(tf.c).max()) == 0.0:
             continue
-        norm_tf = sup_norm(tf, restarts, seed)
-        norm_t = sup_norm(p.tensor, restarts, seed)
+        norm_tf = sup_norm(tf, _J_RESTARTS, seed)
+        norm_t = sup_norm(p.tensor, _J_RESTARTS, seed)
         norm_eta = operator_norm(eta(p.tensor))
         inner = math.fsum(r**i * norm_t**i * norm_eta ** (n - 1 - i)
                           for i in range(1, n))

@@ -77,7 +77,6 @@ __all__ = [
     "reduced_morse_integral",
     "full_morse_constant",
     "convergence_study",
-    "twist_delta",
     "default_workers",
 ]
 
@@ -167,8 +166,8 @@ class MorseRow:
     full_constant: Fraction = field(repr=False, default=Fraction(0))
 
 
-_CSV_HEADER = ("k,q,reduced_estimate,std_error,eta_integral,"
-               "normalized_deviation,degenerate_fraction,log_full_constant")
+_CSV_FIELDS = ("k", "q", "reduced_estimate", "std_error", "eta_integral",
+               "normalized_deviation", "degenerate_fraction", "log_full_constant")
 
 
 def _fmt(v: float) -> str:
@@ -189,13 +188,10 @@ class MorseReport:
         object.__setattr__(self, "rows", rows)
 
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
+        lines = [",".join(_CSV_FIELDS)]
         for r in self.rows:
-            lines.append(",".join([
-                str(r.k), str(r.q), _fmt(r.reduced_estimate), _fmt(r.std_error),
-                _fmt(r.eta_integral), _fmt(r.normalized_deviation),
-                _fmt(r.degenerate_fraction), _fmt(r.log_full_constant),
-            ]))
+            lines.append(",".join([str(r.k), str(r.q)]
+                                  + [_fmt(getattr(r, f)) for f in _CSV_FIELDS[2:]]))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -214,12 +210,8 @@ def _eta_index_integrals(M: ManifoldSample, q_list: Sequence[int], tol: float) -
     """:func:`eta_index_integral` for every q of q_list, from one spectrum per point."""
     if any(not 0 <= q <= M.n for q in q_list):
         raise ValueError("q must lie in [0, n]")
-    forms = []
-    for p in M.points:
-        form = eta(p.tensor)
-        if p.twist is not None:
-            form = HermitianForm(form.entries + p.twist.entries)
-        forms.append(form)
+    forms = [eta(p.tensor) if p.twist is None else eta(p.tensor) + p.twist
+             for p in M.points]
     return {q: math.fsum(p.weight * signed_index_det(form, q, tol)
                          for p, form in zip(M.points, forms))
             for q in q_list}
@@ -235,13 +227,6 @@ def full_morse_constant(n: int, k: int, r: int) -> tuple[Fraction, float]:
     log = (math.lgamma(n + k * r) - math.lgamma(n + 1)
            - r * math.lgamma(k + 1) - math.lgamma(k * r))
     return exact, log
-
-
-def twist_delta(k: int, r: int) -> Fraction:
-    """Exact twist amplitude H_k / (k r)."""
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be >= 1")
-    return harmonic(k) / (k * r)
 
 
 # Rounding margin of the inertia screen, relative to the magnitudes involved:
@@ -389,6 +374,8 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     Returns ({(k, q): (mean, se)}, {k: degenerate_fraction}).  Overflow is
     not warned about, since :func:`_run_points` rejects its non-finite
     results; the errstate is set here because it does not carry into threads.
+    A std error whose squares overflow while its mean is finite comes from
+    :func:`_rescaled_std_errors`.
     """
     r = point.tensor.r
     k_max = max(k_list)
@@ -407,9 +394,35 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
                 for q, (mean, m2) in zip(q_list, stats):
                     acc[(k, q)] = _merge(acc[(k, q)], (m, mean, m2))
             done += m
-    out = {key: (mean, math.sqrt(m2 / (n_samples - 1) / n_samples))
-           for key, (_, mean, m2) in acc.items()}
+        out = {key: (mean, math.sqrt(m2 / (n_samples - 1) / n_samples))
+               for key, (_, mean, m2) in acc.items()}
+        lost = [key for key, (mean, se) in out.items()
+                if not math.isfinite(se) and math.isfinite(mean)]
+        if lost:
+            se = _rescaled_std_errors(point, lost, k_list, q_list, n_samples, seed, tol)
+            out.update((key, (out[key][0], se[key])) for key in se)
     return out, {k: degen[k] / n_samples for k in k_list}
+
+
+def _rescaled_std_errors(point: ManifoldPoint, keys, k_list, q_list, n_samples, seed, tol):
+    """{(k, q): std error} for the keys of a point whose squared deviations overflow.
+
+    A second pass over the same draws runs on the point with its tensor,
+    twist and tol scaled by 2^-s, where 2^s bounds the largest coefficient.
+    That scales every form by 2^-s and every det by 2^-ns exactly, up to the
+    eigensolve's rounding, so the std error is the second pass's times 2^ns.
+    Returns {} for a point whose coefficients are already below 1.
+    """
+    twist = point.twist
+    parts = [point.tensor.c] + ([] if twist is None else [twist.entries])
+    s = math.frexp(max(np.abs(a).max() for a in parts))[1]
+    if s <= 0:
+        return {}
+    f = math.ldexp(1.0, -s)
+    small = ManifoldPoint(point.id, CurvatureTensor(f * point.tensor.c), point.weight,
+                          None if twist is None else HermitianForm(f * twist.entries))
+    stats, _ = _point_study(small, k_list, q_list, n_samples, seed, f * tol)
+    return {key: float(np.ldexp(stats[key][1], point.tensor.n * s)) for key in keys}
 
 
 def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
@@ -444,9 +457,11 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
             est[(k, q)] = math.fsum(
                 p.weight * stats[(k, q)][0]
                 for p, (stats, _) in zip(M.points, results))
-            se[(k, q)] = math.sqrt(math.fsum(
-                (p.weight * stats[(k, q)][1]) ** 2
-                for p, (stats, _) in zip(M.points, results)))
+            terms = [p.weight * stats[(k, q)][1] for p, (stats, _) in zip(M.points, results)]
+            try:
+                se[(k, q)] = math.sqrt(math.fsum(t ** 2 for t in terms))
+            except OverflowError:  # a square or their sum overflows
+                se[(k, q)] = math.hypot(*terms)
             if not (math.isfinite(est[(k, q)]) and math.isfinite(se[(k, q)])):
                 raise FloatingPointError(f"k={k}, q={q}: non-finite (estimate, std error) "
                                          f"= {(est[(k, q)], se[(k, q)])}")

@@ -15,7 +15,8 @@ concentrates on the product of unit spheres.
 
 One estimator serves both :func:`integrate_fiber` and
 :func:`integrate_fiber_limit`: they differ in the stream key and in the
-draw, which for the limit (as for k = 1) is the spheres alone, with weight 1.
+draw, which for the limit is the spheres alone, with weight 1 (at k = 1 the
+finite-p draw reduces to the same: the one-point simplex draws nothing).
 """
 
 from __future__ import annotations
@@ -132,8 +133,6 @@ def phi(w: WeightSpec, z: FiberPoint) -> float:
 def phi_limit(w: WeightSpec, z: FiberPoint) -> float:
     """Pointwise p -> infinity limit: log max_s |z_s|^{2/a_s}."""
     norms = _norms(w, z)
-    if np.all(norms == 0):
-        raise ValueError("fiber point must be nonzero")
     vals = [2.0 / a_s * np.log(n) if n > 0 else -np.inf
             for n, a_s in zip(norms, w.a)]
     return float(np.max(vals))
@@ -157,9 +156,9 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
 
     Returns ``(weight, blocks)`` with ``blocks[s] = x_s^{a_s/2p} u_s`` of
     shape (n_samples, r_s).  Draw order: gamma, then the spheres in block order;
-    the p -> infinity ``limit`` and k = 1 draw the spheres alone, with weight 1.
+    the p -> infinity ``limit`` draws the spheres alone, with weight 1.
     """
-    if limit or w.k == 1:
+    if limit:
         return 1.0, [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
     x = sample_nu_batch(w.k, 1, n_samples, rng)
     const = 1 / (math.factorial(w.k - 1) * dirichlet_integral(w.r))

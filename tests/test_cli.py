@@ -143,12 +143,12 @@ def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
     assert _digest(data) == digest
 
 
-def test_ikrn_resource_ceiling_exit3():
-    rc, _, err = _run(["ikrn", "--k", "10000", "--r", "1", "--n", "5",
-                       "--mode", "exact", "--method", "enumerate",
-                       "--term-ceiling", "1000"])
-    assert rc == 3
-    assert "ceiling" in err
+@pytest.mark.parametrize("flag", [["--method", "series"], ["--term-ceiling", "1000"]])
+def test_ikrn_removed_flags_exit2(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ikrn", "--k", "2", "--r", "1", "--n", "1", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_morse_outputs_and_rerun_identical(tmp_path):

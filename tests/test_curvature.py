@@ -122,6 +122,16 @@ def test_sigma_variance_bytes_pinned():
     assert digest == "8e727cb8ae4d1d47a6226e4a18121f3d"
 
 
+def test_sup_norm_bytes_pinned():
+    # blake2b of the float.hex values, pinned before sup_norm's iteration
+    # limits became module constants (numpy 2.4 / OpenBLAS 0.3 on x86-64)
+    a = sup_norm(random_tensor(2, 3, 1.0, 5), 8, 2)
+    b = sup_norm(random_tensor(3, 2, 1.0, 6), 8, 3)
+    digest = hashlib.blake2b(f"{a.hex()} {b.hex()}".encode(),
+                             digest_size=16).hexdigest()
+    assert digest == "8c78f692bc7549c637e86c6f48bcc38e"
+
+
 def test_sigma_variance_warns_on_traceful():
     t = random_tensor(2, 2, 1.0, 3)
     with pytest.warns(UserWarning):

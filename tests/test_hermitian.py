@@ -6,9 +6,8 @@ import pytest
 
 from jetmorse import morse_mc
 from jetmorse.cli import main
-from jetmorse.hermitian import (HermitianForm, default_tolerance,
-                                det_diff_bound_holds, eigenvalues, operator_norm,
-                                signature, signed_index_det,
+from jetmorse.hermitian import (HermitianForm, det_diff_bound_holds, eigenvalues,
+                                operator_norm, signature, signed_index_det,
                                 sphere_second_moment, trace_free_part)
 from jetmorse.measures import sample_sphere_batch
 from jetmorse.rng import stream
@@ -63,10 +62,10 @@ def test_signed_index_det():
     assert signed_index_det(b, 0, 1e-9) == pytest.approx(6.0)
 
 
-def test_default_tolerance_scales():
+def test_operator_norm_scales():
     a = HermitianForm.identity(3)
-    assert default_tolerance(a) == pytest.approx(1e-9)
-    assert default_tolerance(100.0 * a) == pytest.approx(1e-7)
+    assert 1e-9 * max(1.0, operator_norm(a)) == pytest.approx(1e-9)
+    assert 1e-9 * max(1.0, operator_norm(100.0 * a)) == pytest.approx(1e-7)
 
 
 def test_det_diff_bound_random_pairs():
@@ -225,8 +224,10 @@ def _helper_cases():
 def test_spectrum_helpers_bit_equal_numpy():
     for a in _helper_cases():
         lam = a.spectrum
-        # zero, every eigenvalue's magnitude (the band edge itself) and a default
-        for tol in [0.0, 1e-9, default_tolerance(a)] + [abs(x) for x in lam.tolist()]:
+        # zero, every eigenvalue's magnitude (the band edge itself) and a
+        # norm-relative band
+        scaled = 1e-9 * max(1.0, operator_norm(a))
+        for tol in [0.0, 1e-9, scaled] + [abs(x) for x in lam.tolist()]:
             assert signature(a, tol) == _np_signature(a, tol)
             for q in range(a.dim + 1):
                 assert _bits(signed_index_det(a, q, tol)) == _bits(_np_signed_index_det(a, q, tol))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from jetmorse import jet_combinatorics
 from jetmorse.jet_combinatorics import (EULER_GAMMA, EpsilonRatio,
-                                        ResourceLimitError, _power_numerators,
+                                        ResourceLimitError, _ikrn_enumerate,
+                                        _power_numerators,
                                         epsilon_ratio, harmonic, ikrn_asymptotic,
                                         ikrn_bounds, ikrn_exact, inverse_square_sum)
 from jetmorse.measures import sample_nu_batch
@@ -47,7 +48,7 @@ def test_ikrn_first_moment_is_harmonic_over_k():
 
 def test_ikrn_series_matches_enumeration():
     for k, r, n in [(2, 1, 3), (3, 2, 2), (4, 1, 4), (5, 3, 2), (2, 2, 5)]:
-        assert ikrn_exact(k, r, n) == ikrn_exact(k, r, n, method="enumerate")
+        assert ikrn_exact(k, r, n) == _ikrn_enumerate(k, r, n)
 
 
 def test_ikrn_matches_direct_mc():
@@ -62,7 +63,7 @@ def test_ikrn_matches_direct_mc():
 
 def test_enumeration_resource_ceiling():
     with pytest.raises(ResourceLimitError):
-        ikrn_exact(10**4, 1, 5, method="enumerate", term_ceiling=10**6)
+        _ikrn_enumerate(10**4, 1, 5)
 
 
 def test_bounds_bracket_exact():
@@ -205,7 +206,7 @@ def test_epsilon_ratio_at_e10_pinned():
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(1, 5), r=st.integers(1, 3), n=st.integers(0, 4))
 def test_series_matches_enumeration_property(k, r, n):
-    assert ikrn_exact(k, r, n) == ikrn_exact(k, r, n, method="enumerate")
+    assert ikrn_exact(k, r, n) == _ikrn_enumerate(k, r, n)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -12,8 +12,7 @@ from jetmorse.jet_combinatorics import harmonic, ikrn_exact
 from jetmorse.models import build_sample, fubini_study_tensor, random_tensor
 from jetmorse.morse_mc import (ManifoldPoint, ManifoldSample, MorseReport,
                                MorseRow, convergence_study, eta_index_integral,
-                               full_morse_constant, reduced_morse_integral,
-                               twist_delta)
+                               full_morse_constant, reduced_morse_integral)
 from jetmorse.rng import stream
 
 
@@ -118,6 +117,30 @@ def test_reduced_non_finite_raises(workers):
         reduced_morse_integral(M, 2, 1, 100, 1, 1e-9, workers=workers)
 
 
+def _overflow_sample(kind, scale):
+    if kind == "random":
+        return build_sample({"type": "random", "n": 3, "r": 2, "points": 4,
+                             "scale": scale, "seed": 3})
+    # the twist scales with the tensor, so the renormalized forms scale too
+    return ManifoldSample(tuple(
+        ManifoldPoint(f"p{m}", random_tensor(3, 2, scale, 20 + m), 0.5,
+                      HermitianForm(scale * np.diag([1.0, -0.5, 2.0 + m])))
+        for m in range(2)))
+
+
+@pytest.mark.parametrize("kind, workers", [("random", 1), ("random", 2), ("twisted", 1)])
+def test_std_error_scales_past_square_overflow(kind, workers):
+    # scaling by 2^176 scales every n = 3 det by 2^528 exactly, past the
+    # point (about 1e154) where squared deviations overflow
+    base, big = (convergence_study(_overflow_sample(kind, scale), [2, 4], range(4),
+                                   200, 1, 0.0, workers=workers)
+                 for scale in (1.0, 2.0**176))
+    for a, b in zip(base.rows, big.rows):
+        assert b.reduced_estimate == pytest.approx(2.0**528 * a.reduced_estimate, rel=1e-12)
+        assert b.std_error == pytest.approx(2.0**528 * a.std_error, rel=1e-12)
+    assert max(r.std_error for r in big.rows) > 1e154
+
+
 def test_rank1_factorization():
     # r=1: g_k = (sum x_s/s) C, so the reduced integral factorizes exactly
     t = random_tensor(3, 1, 1.0, 21)
@@ -176,9 +199,10 @@ def test_full_morse_constant():
 
 
 def test_twist_delta():
-    assert twist_delta(1, 1) == 1
-    assert twist_delta(2, 1) == Fraction(3, 4)
-    assert twist_delta(4, 2) == Fraction(25, 96)
+    # the twist amplitude H_k / (k r) that renormalizes twisted forms
+    assert harmonic(1) / (1 * 1) == 1
+    assert harmonic(2) / (2 * 1) == Fraction(3, 4)
+    assert harmonic(4) / (4 * 2) == Fraction(25, 96)
 
 
 def test_convergence_study_report_shape():
