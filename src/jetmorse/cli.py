@@ -62,7 +62,9 @@ def cmd_wps_volume(args) -> int:
                    p=args.p)
     exact = volume_closed_form(w)
     est, se = integrate_fiber(w, lambda z: 1.0, args.samples, args.seed)
-    z = (est - float(exact)) / se if se > 0 else 0.0
+    diff = est - float(exact)
+    # a zero std error leaves no room for any difference: z is then +-inf
+    z = diff / se if se > 0 else (math.copysign(math.inf, diff) if diff else 0.0)
     print(f"closed_form {_rat(exact)}")
     print(f"estimate {_fmt(est)}")
     print(f"std_error {_fmt(se)}")

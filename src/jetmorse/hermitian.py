@@ -161,18 +161,22 @@ def eigenvalues(a: HermitianForm) -> np.ndarray:
     return a.spectrum
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a band half-width that is negative, NaN or infinite."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be >= 0 and finite")
+
+
 def signature(a: HermitianForm, tol: float) -> tuple[int, int, int]:
     """(plus, minus, zero) eigenvalue counts at tolerance band [-tol, tol]."""
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    _check_tol(tol)
     plus, minus = _sign_counts(a._lam, tol)
     return plus, minus, a.dim - plus - minus
 
 
 def signed_index_det(a: HermitianForm, q: int, tol: float) -> float:
     """det(A) if the signature is exactly (dim-q, q) with no nullity, else 0."""
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    _check_tol(tol)
     if not 0 <= q <= a.dim:
         raise ValueError("q must lie in [0, dim]")
     return _index_det(a._lam, q, tol)

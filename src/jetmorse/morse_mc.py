@@ -35,7 +35,14 @@ accepts a row only when |det| proves that no eigenvalue lies in the band
 eigensolve, so the band and the degenerate fraction are exactly those of
 the eigenvalues.  Per-chunk (count, mean, M2) summaries are merged with
 the Chan-Golub-LeVeque update, which keeps the variance free of the
-cancellation a sum of squares suffers when the mean dominates.
+cancellation a sum of squares suffers when the mean dominates.  Each point
+is studied in one power-of-two frame: its forms and the band are scaled by
+2^-s, with 2^s just above its largest coefficient, and its mean and std
+error are scaled back by 2^ns.  Scaling by a power of two is exact and
+1_{index q} det is homogeneous of degree n, so the frame changes no result
+that stays inside the float range, while the determinants, their squares
+and the screen's margins stay far from overflow and underflow at any
+magnitude of the point.
 
 Determinism: every point gets its own counter-based stream keyed by
 (seed, point id); each chunk is one ``standard_normal((m, k_max, 2r))``
@@ -59,7 +66,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curvature import CurvatureTensor, _apply_tensor, _matmul, _outer_coords, eta
-from .hermitian import HermitianForm, _herm_coords, _herm_matrices, signed_index_det
+from .hermitian import (HermitianForm, _check_tol, _herm_coords, _herm_matrices,
+                        signed_index_det)
 from .jet_combinatorics import harmonic, ikrn_exact
 from .rng import stream
 
@@ -250,9 +258,9 @@ def _prefix_weights(k_list: tuple) -> np.ndarray:
     return w
 
 
-def _chunk_forms(point: ManifoldPoint, v: np.ndarray,
-                 k_list: Sequence[int]) -> np.ndarray:
-    """Coordinates of the sampled form at every k of one draw, shape (n*n, len(k_list), m).
+def _chunk_forms(point: ManifoldPoint, v: np.ndarray, k_list: Sequence[int],
+                 s: int) -> np.ndarray:
+    """Coordinates of 2^-s times the sampled forms of one draw, shape (n*n, len(k_list), m).
 
     ``v`` (m, k_max, r) holds standard complex Gaussian vectors, with
     k_max = max(k_list).  By the polar identity, g_s = |v_s|^2 is a
@@ -262,20 +270,21 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray,
     (1/G_k) sum_{s<=k} v_s v_s* / s, and G_k is the trace of the same sum
     without the 1/s weights.  One product of the outer-product planes with
     :func:`_prefix_weights` gives both sums for every k, and a second one
-    applies the tensor.
+    applies the tensor.  The factor 2^-s enters through G_k and the twist,
+    so it is exact.
     """
     t = point.tensor
     k_list = tuple(k_list)
     n_k, (m, k_max, r) = len(k_list), v.shape
     sums = _matmul(_outer_coords(v).reshape(-1, k_max), _prefix_weights(k_list))
     sums = sums.reshape(r * r, m, 2 * n_k)
-    total = sums[:r, :, n_k:].sum(axis=0)
+    total = np.ldexp(sums[:r, :, n_k:].sum(axis=0), s)
     if point.twist is not None:
         total /= [k * r / float(harmonic(k)) for k in k_list]
     fiber = (sums[:, :, :n_k] / total).transpose(0, 2, 1).reshape(r * r, -1)
     forms = _apply_tensor(t, fiber).reshape(t.n * t.n, n_k, m)
     if point.twist is not None:
-        forms += _herm_coords(point.twist.entries)[:, None, None]
+        forms += np.ldexp(_herm_coords(point.twist.entries), -s)[:, None, None]
     return forms
 
 
@@ -371,58 +380,38 @@ def _merge(a: tuple, b: tuple) -> tuple:
 def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     """Inner MC for one quadrature point, all k and q at once.
 
-    Returns ({(k, q): (mean, se)}, {k: degenerate_fraction}).  Overflow is
-    not warned about, since :func:`_run_points` rejects its non-finite
-    results; the errstate is set here because it does not carry into threads.
-    A std error whose squares overflow while its mean is finite comes from
-    :func:`_rescaled_std_errors`.
+    Returns ({(k, q): (mean, se)}, {k: degenerate_fraction}).  The kernel
+    runs in the point's power-of-two frame (see the module docstring): forms
+    and tol are scaled by 2^-s, with 2^s just above the largest tensor or
+    twist coefficient, and mean and std error back by 2^ns.  Overflow on the
+    way back reads inf and is not warned about, since :func:`_run_points`
+    rejects non-finite results; the errstate is set here because it does
+    not carry into threads.
     """
-    r = point.tensor.r
+    r, n = point.tensor.r, point.tensor.n
+    parts = [point.tensor.c] + ([] if point.twist is None else [point.twist.entries])
+    s = math.frexp(max(np.abs(a).max() for a in parts))[1]
     k_max = max(k_list)
     rng = stream(seed, "morse", point.id)
     acc = {(k, q): (0, 0.0, 0.0) for k in k_list for q in q_list}
     degen = dict.fromkeys(k_list, 0)
     done = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tol = float(np.ldexp(tol, -s))
         while done < n_samples:
             m = min(_CHUNK, n_samples - done)
             v = rng.standard_normal((m, k_max, 2 * r)).view(complex)
-            forms = _chunk_forms(point, v, k_list)
+            forms = _chunk_forms(point, v, k_list, s)
             for j, k in enumerate(k_list):
                 stats, d = _index_stats(forms[:, j].T, q_list, tol)
                 degen[k] += d
                 for q, (mean, m2) in zip(q_list, stats):
                     acc[(k, q)] = _merge(acc[(k, q)], (m, mean, m2))
             done += m
-        out = {key: (mean, math.sqrt(m2 / (n_samples - 1) / n_samples))
+        out = {key: tuple(np.ldexp([mean, math.sqrt(m2 / (n_samples - 1) / n_samples)],
+                                   n * s).tolist())
                for key, (_, mean, m2) in acc.items()}
-        lost = [key for key, (mean, se) in out.items()
-                if not math.isfinite(se) and math.isfinite(mean)]
-        if lost:
-            se = _rescaled_std_errors(point, lost, k_list, q_list, n_samples, seed, tol)
-            out.update((key, (out[key][0], se[key])) for key in se)
     return out, {k: degen[k] / n_samples for k in k_list}
-
-
-def _rescaled_std_errors(point: ManifoldPoint, keys, k_list, q_list, n_samples, seed, tol):
-    """{(k, q): std error} for the keys of a point whose squared deviations overflow.
-
-    A second pass over the same draws runs on the point with its tensor,
-    twist and tol scaled by 2^-s, where 2^s bounds the largest coefficient.
-    That scales every form by 2^-s and every det by 2^-ns exactly, up to the
-    eigensolve's rounding, so the std error is the second pass's times 2^ns.
-    Returns {} for a point whose coefficients are already below 1.
-    """
-    twist = point.twist
-    parts = [point.tensor.c] + ([] if twist is None else [twist.entries])
-    s = math.frexp(max(np.abs(a).max() for a in parts))[1]
-    if s <= 0:
-        return {}
-    f = math.ldexp(1.0, -s)
-    small = ManifoldPoint(point.id, CurvatureTensor(f * point.tensor.c), point.weight,
-                          None if twist is None else HermitianForm(f * twist.entries))
-    stats, _ = _point_study(small, k_list, q_list, n_samples, seed, f * tol)
-    return {key: float(np.ldexp(stats[key][1], point.tensor.n * s)) for key in keys}
 
 
 def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
@@ -433,8 +422,9 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    _check_tol(tol)
+    if not k_list:
+        raise ValueError("k_list must name at least one k")
     if min(k_list) < 1:
         raise ValueError("k must be >= 1")
     if workers is None:
@@ -457,11 +447,13 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
             est[(k, q)] = math.fsum(
                 p.weight * stats[(k, q)][0]
                 for p, (stats, _) in zip(M.points, results))
-            terms = [p.weight * stats[(k, q)][1] for p, (stats, _) in zip(M.points, results)]
-            try:
-                se[(k, q)] = math.sqrt(math.fsum(t ** 2 for t in terms))
-            except OverflowError:  # a square or their sum overflows
-                se[(k, q)] = math.hypot(*terms)
+            t = np.array([p.weight * stats[(k, q)][1]
+                          for p, (stats, _) in zip(M.points, results)])
+            # root-sum-square in the frame of the largest term, so no square
+            # overflows or underflows; a result past the float range reads inf
+            e = math.frexp(t.max())[1]
+            with np.errstate(over="ignore"):
+                se[(k, q)] = float(np.ldexp(math.sqrt(math.fsum(np.ldexp(t, -e) ** 2)), e))
             if not (math.isfinite(est[(k, q)]) and math.isfinite(se[(k, q)])):
                 raise FloatingPointError(f"k={k}, q={q}: non-finite (estimate, std error) "
                                          f"= {(est[(k, q)], se[(k, q)])}")

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from jetmorse import cli
 from jetmorse.cli import main
 from jetmorse.curvature import tensor_to_json
 from jetmorse.models import random_tensor
@@ -29,6 +30,15 @@ def test_wps_volume_basic(capsys):
     assert "closed_form 1/6" in out
     z = float(out.splitlines()[-1].split()[1])
     assert abs(z) <= 3.0
+
+
+@pytest.mark.parametrize("est, z", [(0.2, "inf"), (0.1, "-inf"), (1 / 6, "0")])
+def test_wps_volume_zero_std_error_z(est, z, monkeypatch, capsys):
+    # a zero std error used to print z_score 0 whatever the estimate
+    monkeypatch.setattr(cli, "integrate_fiber", lambda *args: (est, 0.0))
+    assert main(["wps-volume", "--weights", "1,2,3", "--mults", "1,1,1",
+                 "--samples", "10", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"z_score {z}"
 
 
 def test_wps_volume_noncoprime_exit2():
@@ -199,6 +209,23 @@ def test_morse_q_above_n_exit2(tmp_path, capsys):
                "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "q must lie in [0, n]" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--tol", "inf"], "tol must be >= 0 and finite"),
+    (["--k-list", ""], "k_list must name at least one k"),
+], ids=["tol-inf", "empty-k-list"])
+def test_morse_bad_tol_or_k_list_exit2(flag, message, tmp_path, capsys):
+    # --tol inf used to exit 0 with every row 0, and an empty --k-list
+    # failed with "min() arg is an empty sequence"
+    argv = {"--model": MODEL, "--k-list": "2", "--samples": "10", "--seed": "1",
+            "--out": str(tmp_path / "x")}
+    argv.update(dict(zip(flag[::2], flag[1::2])))
+    rc = main(["morse", *[v for item in argv.items() for v in item]])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
 
 

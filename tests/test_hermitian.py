@@ -150,7 +150,7 @@ def test_trace_free_part():
     assert t.entries[0, 0] == pytest.approx(-1.0)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -5.0, -0.5e-300])
+@pytest.mark.parametrize("tol", [math.nan, -5.0, -0.5e-300, math.inf])
 def test_bad_tolerance_raises(tol):
     a = HermitianForm.diagonal([2.0, -1.0, 0.5])
     with pytest.raises(ValueError, match="tol must be >= 0"):

@@ -117,6 +117,19 @@ def test_reduced_non_finite_raises(workers):
         reduced_morse_integral(M, 2, 1, 100, 1, 1e-9, workers=workers)
 
 
+@pytest.mark.parametrize("ses", [(1.5e308, 1.5e308), (math.inf, 1e300)])
+def test_std_error_past_float_range_raises(ses, monkeypatch):
+    # per-point std errors whose root-sum-square is past the largest float:
+    # it must read inf and raise FloatingPointError, not OverflowError
+    M = ManifoldSample(tuple(ManifoldPoint(f"p{m}", random_tensor(1, 1, 1.0, m), 1.0)
+                             for m in range(2)), total_volume=2.0)
+    it = iter(ses)
+    monkeypatch.setattr(morse_mc, "_point_study",
+                        lambda *args: ({(2, 0): (0.0, next(it))}, {2: 0.0}))
+    with pytest.raises(FloatingPointError, match=r"k=2, q=0: .*inf\)"):
+        reduced_morse_integral(M, 2, 0, 100, 1, 1e-9, workers=1)
+
+
 def _overflow_sample(kind, scale):
     if kind == "random":
         return build_sample({"type": "random", "n": 3, "r": 2, "points": 4,
@@ -130,15 +143,47 @@ def _overflow_sample(kind, scale):
 
 @pytest.mark.parametrize("kind, workers", [("random", 1), ("random", 2), ("twisted", 1)])
 def test_std_error_scales_past_square_overflow(kind, workers):
-    # scaling by 2^176 scales every n = 3 det by 2^528 exactly, past the
-    # point (about 1e154) where squared deviations overflow
-    base, big = (convergence_study(_overflow_sample(kind, scale), [2, 4], range(4),
-                                   200, 1, 0.0, workers=workers)
-                 for scale in (1.0, 2.0**176))
-    for a, b in zip(base.rows, big.rows):
-        assert b.reduced_estimate == pytest.approx(2.0**528 * a.reduced_estimate, rel=1e-12)
-        assert b.std_error == pytest.approx(2.0**528 * a.std_error, rel=1e-12)
-    assert max(r.std_error for r in big.rows) > 1e154
+    # 1_{index q} det is homogeneous of degree n = 3, so scaling the model by
+    # 2^j scales every estimate and std error by exactly 2^3j: at j = 176
+    # past the point (about 1e154) where squared deviations overflow, at
+    # j = -200 past the point where they underflow
+    def study(scale):
+        return convergence_study(_overflow_sample(kind, scale), [2, 4], range(4),
+                                 200, 1, 0.0, workers=workers).rows
+
+    base = study(1.0)
+    for j in (176, -200):
+        rows = study(2.0**j)
+        for a, b in zip(base, rows):
+            assert b.reduced_estimate == math.ldexp(a.reduced_estimate, 3 * j)
+            assert b.std_error == math.ldexp(a.std_error, 3 * j)
+        if j > 0:
+            assert max(r.std_error for r in rows) > 1e154
+    assert all(r.std_error > 0 for r in base if r.reduced_estimate != 0)
+
+
+def test_screen_rows_independent_of_scale(monkeypatch):
+    # forms in the point's power-of-two frame keep the inertia screen's
+    # margins finite, so at scale 2^176 (with the band scaled alike) the
+    # eigensolve gets the same rows as at scale 1, and not every row, as
+    # when the margins overflow
+    eigvalsh = np.linalg.eigvalsh
+    sent = []
+
+    def spy(a):
+        if a.ndim == 3:  # the kernel's batches, not the eta spectra
+            sent.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rows = []
+    for scale in (1.0, 2.0**176):
+        sent.clear()
+        convergence_study(_overflow_sample("random", scale), [2, 4], range(4),
+                          2000, 1, 1e-3 * scale, workers=1)
+        rows.append(np.concatenate(sent))
+    assert 0 < len(rows[0]) < 4 * 2 * 2000 // 10
+    assert np.array_equal(rows[0], rows[1])
 
 
 def test_rank1_factorization():
@@ -229,7 +274,7 @@ def test_convergence_study_rejects_bad_k_and_tol():
     M = _single(random_tensor(1, 1, 1.0, 2))
     with pytest.raises(ValueError, match="k must be >= 1"):
         reduced_morse_integral(M, 0, 0, 100, 1, 1e-9)
-    for tol in (-1e-9, math.nan):
+    for tol in (-1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
             convergence_study(M, [2], 0, 100, 1, tol)
 
@@ -294,7 +339,7 @@ def test_fused_kernel_matches_reference(n, r, twisted):
     v = rng.standard_normal((m, max(k_list), 2 * r)).view(complex)
     g = np.sum(np.abs(v) ** 2, axis=-1)
     u = v / np.sqrt(g)[..., None]
-    forms = morse_mc._chunk_forms(point, v, k_list)
+    forms = morse_mc._chunk_forms(point, v, k_list, 0)
     strict = _reference_chunk(point, g, u, k_list, q_list, 1e-9)
     # a band holding half the smallest eigenvalues at k=3 forces the
     # screen to hand rows to the eigensolve

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetmorse.measures import sample_sphere_batch
@@ -93,17 +93,6 @@ def test_integrate_fiber_nonfinite_raises():
     with pytest.raises(FiberEvaluationError) as err:
         integrate_fiber(w, lambda z: float("nan"), 100, 5)
     assert err.value.sample_index == 0
-
-
-def test_permutation_invariance():
-    # permuting the (a_s, r_s) pairs changes draws but not the integral
-    f = lambda z: float(sum(np.linalg.norm(v) ** 2 for v in z))
-    w1 = WeightSpec((1, 2), (2, 1))
-    w2 = WeightSpec((2, 1), (1, 2))
-    assert volume_closed_form(w1) == volume_closed_form(w2)
-    e1, s1 = integrate_fiber(w1, f, 40000, 12)
-    e2, s2 = integrate_fiber(w2, lambda z: f(z[::-1]), 40000, 12)
-    assert abs(e1 - e2) <= 3 * math.hypot(s1, s2) + 1e-12
 
 
 def _loop_points(w, n_samples, seed, limit):
@@ -237,3 +226,25 @@ def _weight_specs(draw):
 @given(w=_weight_specs(), seed=st.integers(0, 2**32 - 1), limit=st.booleans())
 def test_batched_sampler_matches_loop_property(w, seed, limit):
     _assert_matches_oracle(w, _blockwise, 300, seed, limit)
+
+
+@st.composite
+def _permuted_specs(draw):
+    w = draw(_weight_specs())
+    return w, tuple(draw(st.permutations(range(w.k))))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(case=_permuted_specs(), seed=st.integers(0, 2**32 - 1), samples=st.just(2000))
+@example(case=(WeightSpec((1, 2), (2, 1)), (1, 0)), seed=12, samples=40000)
+def test_permutation_invariance(case, seed, samples):
+    # permuting the (a_s, r_s) pairs changes draws but not the integral of an
+    # integrand that follows its blocks
+    w, order = case
+    v = WeightSpec(tuple(w.a[i] for i in order), tuple(w.r[i] for i in order))
+    f = lambda z: float(sum((s + 1) * np.vdot(b, b).real for s, b in enumerate(z)))
+    assert volume_closed_form(v) == volume_closed_form(w)
+    back = np.argsort(order)  # block s of w is block back[s] of v
+    e1, s1 = integrate_fiber(w, f, samples, seed)
+    e2, s2 = integrate_fiber(v, lambda z: f([z[i] for i in back]), samples, seed)
+    assert abs(e1 - e2) <= 3 * math.hypot(s1, s2) + 1e-12
