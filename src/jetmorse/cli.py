@@ -53,13 +53,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ints(text: str) -> list:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} expects integers, got {text!r}") from None
+
+
+def _ints(text: str, flag: str) -> list:
+    return [_int(v, flag) for v in text.split(",") if v.strip()]
 
 
 def cmd_wps_volume(args) -> int:
-    w = WeightSpec(tuple(_ints(args.weights)), tuple(_ints(args.mults)),
-                   p=args.p)
+    w = WeightSpec(tuple(_ints(args.weights, "--weights")),
+                   tuple(_ints(args.mults, "--mults")), p=args.p)
     exact = volume_closed_form(w)
     est, se = integrate_fiber(w, lambda z: 1.0, args.samples, args.seed)
     diff = est - float(exact)
@@ -118,10 +125,14 @@ def _load_model(text: str) -> dict:
 def cmd_morse(args) -> int:
     spec = _load_model(args.model)
     sample = build_sample(spec)
-    k_list = _ints(args.k_list)
-    q = list(range(sample.n + 1)) if args.q == "all" else [int(args.q)]
+    k_list = _ints(args.k_list, "--k-list")
+    q = list(range(sample.n + 1)) if args.q == "all" else [_int(args.q, "--q")]
     report = convergence_study(sample, k_list, q, args.samples, args.seed,
                                args.tol, workers=args.workers)
+    # a zero form is degenerate at any tol, so only a positive band is at fault
+    if args.tol > 0 and all(r.degenerate_fraction == 1 for r in report.rows):
+        raise ValueError(f"every sampled form is degenerate at --tol {args.tol!r} "
+                         "(degenerate_fraction 1 at every k); no file written")
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -135,7 +146,7 @@ def cmd_morse(args) -> int:
 
 def cmd_ci_threshold(args) -> int:
     spec = CompleteIntersectionSpec(n=args.n, s=args.s,
-                                    degrees=tuple(_ints(args.degrees)),
+                                    degrees=tuple(_ints(args.degrees, "--degrees")),
                                     a=Fraction(args.a))
     if args.k is not None and args.k < 2:
         raise ValueError("--k must be >= 2")

@@ -21,7 +21,10 @@ signs in a Python loop, ``math.prod`` (bit-equal to ``np.prod`` at these
 sizes) and the norm read off the two ends of the ascending spectrum cost a
 fraction of the numpy calls they replace.
 :func:`det_diff_bound_holds` eigensolves A - B directly, without building a
-form for it.
+form for it, and only when the lemma's left side is nonzero or the slack
+negative: with ``lhs == 0`` and ``slack >= 0`` the bound holds for every
+right side, so the check returns True after the dimension, q and finiteness
+checks.
 """
 
 from __future__ import annotations
@@ -223,14 +226,19 @@ def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int,
     if not 0 <= q <= n:
         raise ValueError("q must lie in [0, dim]")
     lhs = abs(_index_det(lam_a, q, 0.0) - _index_det(lam_b, q, 0.0))
-    na, nb = _norm(lam_a), _norm(lam_b)
-    # A - B is hermitian by construction and is eigensolved once, without a
-    # form; finite - finite can still overflow to inf
+    # finite - finite can still overflow to inf
     d = a.entries - b.entries
     if not np.isfinite(d).all():
         raise ValueError("entries must be finite")
+    if lhs == 0 and slack >= 0:
+        return True  # 0 <= rhs + slack max(1, rhs) for every rhs >= 0
+    na, nb = _norm(lam_a), _norm(lam_b)
+    # A - B is hermitian by construction and is eigensolved once, without a form
     diff = _norm(np.linalg.eigvalsh(d).tolist())
-    rhs = diff * sum(na**i * nb ** (n - 1 - i) for i in range(n))
+    try:
+        rhs = diff * sum(na**i * nb ** (n - 1 - i) for i in range(n))
+    except OverflowError:  # float ** int raises past the float range, * gives inf
+        rhs = math.inf
     return lhs <= rhs + slack * max(1.0, rhs)
 
 

@@ -214,11 +214,13 @@ def test_morse_q_above_n_exit2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, message", [
     (["--tol", "inf"], "tol must be >= 0 and finite"),
+    (["--tol", "1e308"], "every sampled form is degenerate at --tol 1e+308 "
+                         "(degenerate_fraction 1 at every k); no file written"),
     (["--k-list", ""], "k_list must name at least one k"),
-], ids=["tol-inf", "empty-k-list"])
+], ids=["tol-inf", "tol-1e308", "empty-k-list"])
 def test_morse_bad_tol_or_k_list_exit2(flag, message, tmp_path, capsys):
-    # --tol inf used to exit 0 with every row 0, and an empty --k-list
-    # failed with "min() arg is an empty sequence"
+    # --tol inf and --tol 1e308 used to exit 0 with every row 0, and an empty
+    # --k-list failed with "min() arg is an empty sequence"
     argv = {"--model": MODEL, "--k-list": "2", "--samples": "10", "--seed": "1",
             "--out": str(tmp_path / "x")}
     argv.update(dict(zip(flag[::2], flag[1::2])))
@@ -226,6 +228,39 @@ def test_morse_bad_tol_or_k_list_exit2(flag, message, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_morse_zero_model_kept_at_tol_0(tmp_path, capsys):
+    # a zero tensor is degenerate at any tol: at tol 0 the study is written,
+    # at a positive tol it exits 2 like a band wider than every eigenvalue
+    model = json.dumps({"type": "random", "n": 2, "r": 2, "points": 2,
+                        "scale": 0.0, "seed": 9})
+    argv = ["morse", "--model", model, "--k-list", "2", "--samples", "10",
+            "--seed", "1", "--out"]
+    assert main([*argv, str(tmp_path / "z"), "--tol", "0"]) == 0
+    rows = (tmp_path / "z.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(row.split(",")[6] == "1" for row in rows)
+    assert main([*argv, str(tmp_path / "p")]) == 2
+    assert "degenerate at --tol 1e-09" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["morse", "--model", MODEL, "--k-list", "2,x", "--seed", "1"], "--k-list"),
+    (["morse", "--model", MODEL, "--k-list", "2", "--q", "x", "--seed", "1"], "--q"),
+    (["wps-volume", "--weights", "1,2.5", "--mults", "1,1", "--seed", "1"], "--weights"),
+    (["wps-volume", "--weights", "1,2", "--mults", "1,x", "--seed", "1"], "--mults"),
+    (["ci-threshold", "--n", "2", "--s", "1", "--degrees", "x"], "--degrees"),
+], ids=["k-list", "q", "weights", "mults", "degrees"])
+def test_malformed_integer_names_flag_exit2(argv, flag, tmp_path, capsys):
+    # these used to print "invalid literal for int() with base 10" alone
+    if argv[0] == "morse":
+        argv = [*argv, "--samples", "10", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    bad = "2.5" if flag == "--weights" else "x"
+    assert out == "" and err == f"error: {flag} expects integers, got {bad!r}\n"
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -101,8 +101,12 @@ def test_det_diff_eigensolves_each_form_once(monkeypatch):
     a, b = _random_form(dim, rng), _random_form(dim, rng)
     for q in range(dim + 1):
         assert det_diff_bound_holds(a, b, q)
-    # a and b once for the pair, plus the new form a - b in every call
-    assert len(calls) == 2 + (dim + 1)
+    # a and b once for the pair, plus a - b in every call whose left side is
+    # nonzero: at lhs == 0 the bound holds without it
+    nonzero = sum(_np_signed_index_det(a, q, 0.0) != _np_signed_index_det(b, q, 0.0)
+                  for q in range(dim + 1))
+    assert 0 < nonzero < dim + 1
+    assert len(calls) == 2 + nonzero
 
 
 def test_arithmetic_matches_validated_constructor():
@@ -265,6 +269,36 @@ def test_det_diff_rejects_overflowing_difference():
         det_diff_bound_holds(a, HermitianForm.identity(3), 0)
     with pytest.raises(ValueError, match="q must"):
         det_diff_bound_holds(a, a, 3)
+
+
+def test_det_diff_skips_eigensolve_only_where_lhs_is_zero(monkeypatch):
+    # A = B with norm^2 past the float range: lhs = 0 decides the check
+    # before the right side is formed (it used to raise OverflowError)
+    a = HermitianForm.diagonal([1e200, 1e-100, 1e-100])
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+    for q in range(a.dim + 1):
+        assert det_diff_bound_holds(a, a, q)
+        assert det_diff_bound_holds(a, a, q, 0.0)
+    assert len(calls) == 1  # the spectrum of a, once
+    # a negative slack still compares against the right side
+    c = HermitianForm.diagonal([1.0])
+    assert not det_diff_bound_holds(c, c, 0, -2.0)
+    assert len(calls) == 3  # the spectrum of c and that of c - c
+    # the checks ahead of the skip still raise on equal forms
+    with pytest.raises(ValueError, match="q must"):
+        det_diff_bound_holds(a, a, 4)
+
+
+def test_det_diff_right_side_overflow_holds():
+    # ||A||^2 = 4e400 is past the float range: float ** int raised
+    # OverflowError where the product reads inf; the bound then holds
+    a = HermitianForm.diagonal([1e200, 1.0, 1.0])
+    b = HermitianForm.diagonal([2e200, 1.0, 1.0])
+    for q in range(a.dim + 1):
+        assert det_diff_bound_holds(a, b, q)
+        assert det_diff_bound_holds(b, a, q)
 
 
 def test_morse_output_matches_numpy_index_det(tmp_path, monkeypatch):

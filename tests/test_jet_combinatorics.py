@@ -75,6 +75,24 @@ def test_bounds_bracket_exact():
                 assert lo <= v <= hi
 
 
+def _fraction_bounds(k, r, n):
+    # the bracket as a chain of reduced Fraction operations: the oracle for
+    # ikrn_bounds' integer form
+    hk = harmonic(k)
+    lower = Fraction(r**n) * hk**n / math.prod(range(k * r, k * r + n))
+    corr = Fraction(0)
+    for m in range(2, n + 1):
+        corr += Fraction(2**m * math.factorial(n), math.factorial(n - m)) / hk**m
+    return lower, lower * (1 + Fraction(1, 3) * corr)
+
+
+@pytest.mark.parametrize("k", [*range(1, 61), 97, 400, 2007])
+def test_bounds_match_fraction_formula(k):
+    for r in (1, 2, 3):
+        for n in range(1, 8):
+            assert ikrn_bounds(k, r, n) == _fraction_bounds(k, r, n)
+
+
 def test_bounds_n1_tight():
     # for n=1 the bracket collapses onto the exact value r H_k / (kr)
     k, r = 9, 2
@@ -128,13 +146,19 @@ def _fraction_tree_sum(k, m):
     return terms[0]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 16, 97, 128, 1001, 3000])
+# 31..33 and 64, 65 sit on either side of a leaf run (_LEAF_RUN = 32) and of
+# two runs; every m_max <= 6 is asked for, so a run's power loop is checked
+# at each length
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 16, 31, 32, 33, 64, 65, 97, 128,
+                               1001, 2005, 3000])
 def test_power_numerators_match_fraction_oracle(k):
-    d, nums = _power_numerators(k, 6)
-    assert d == math.lcm(*range(1, k + 1))
-    assert len(nums) == 6
-    for m, num in enumerate(nums, start=1):
-        assert Fraction(num, d**m) == _fraction_tree_sum(k, m)
+    oracle = [_fraction_tree_sum(k, m) for m in range(1, 7)]
+    for m_max in range(1, 7):
+        d, nums = _power_numerators(k, m_max)
+        assert d == math.lcm(*range(1, k + 1))
+        assert len(nums) == m_max
+        for m, num in enumerate(nums, start=1):
+            assert Fraction(num, d**m) == oracle[m - 1]
 
 
 def _contiguous_split(a, b, m_max):
