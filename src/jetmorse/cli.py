@@ -151,10 +151,11 @@ def cmd_ci_threshold(args) -> int:
     if args.k is not None and args.k < 2:
         raise ValueError("--k must be >= 2")
     ln_k = ci_threshold(spec)
+    # computed before any output, so that a refused k leaves stdout empty
+    eps = None if args.k is None else epsilon_ratio(args.k, 1, spec.n)
     print(f"ln_k_min {_fmt(ln_k)}")
     print(f"log10_k_min {_fmt(ln_k / math.log(10))}")
-    if args.k is not None:
-        eps = epsilon_ratio(args.k, 1, spec.n)
+    if eps is not None:
         print(f"epsilon_exact {_fmt(eps.exact)}")
         print(f"epsilon_bound {_fmt(eps.paper_bound)}")
         print(f"variance_partial_sum_sqrt {_fmt(math.sqrt(inverse_square_sum(args.k)))}")

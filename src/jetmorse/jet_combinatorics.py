@@ -28,8 +28,16 @@ middle level together hold about ln k times the bits of D^m; in
 largest-prime-factor order each prime above sqrt(k) divides the lcm of a
 single subtree per level, and every level stays near the size of D^m.  The moment recurrence
 f_j = (1/j) sum_m r p_m f_{j-m} is run on the integers G_j = D^j f_j (each
-division by j is exact), so a result is reduced by a single gcd when its
-``Fraction`` is built.  D^m has about m k log2(e) bits, and the recurrence
+division by j is exact).  A result x/y is not reduced by gcd(x, y): both
+sides have up to m k log2(e) bits, while their common factor is small (150
+of 190,682 bits in epsilon_ratio(22027, 1, 3)), and a gcd costs time
+quadratic in the size.  ``_reduced`` strips gcd(x, q, y) instead, for a
+small q that every common prime divides: n! rho gcd(G_n, D) for ikrn_exact,
+with rho = kr (kr+1) ... (kr+n-1); r^n rho and 3 r^n rho for the two ends
+of ikrn_bounds; and a b gcd(G_{2n-2}, G_n) gcd(D, G_n) for epsilon_ratio,
+with a and b its small cofactors (at n = 3, k = 22027 the two gcds there
+take 127k/95k and 32k/95k bits).  The ``Fraction`` is then built from the
+reduced pair without one more gcd.  D^m has about m k log2(e) bits, and the recurrence
 to order m makes about m^2/2 products of integers that large; a request
 above ``EXACT_BIT_CEILING`` or ``EXACT_WORK_CEILING`` raises
 :class:`ResourceLimitError` before any work (the CLI exits 3).  Only the final square roots and logarithms use mpmath,
@@ -39,6 +47,7 @@ with enough guard digits (interval arithmetic for the bound comparison).
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,6 +116,33 @@ def _rising(a: int, n: int) -> int:
     for i in range(n):
         out *= a + i
     return out
+
+
+class _LowestTerms:
+    # a pair already in lowest terms, denominator > 0; registered as a
+    # Rational, so Fraction(pair) copies its two fields without a gcd
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def _reduced(x: int, y: int, q: int) -> Fraction:
+    """x/y (x, y > 0) in lowest terms, given that every prime of gcd(x, y) divides q.
+
+    Each round strips h = gcd(gcd(x, q), y), at a cost linear in the sizes
+    of x and y for a small q.  Every prime left in common divided the last h,
+    so h takes the place of q until it is 1.
+    """
+    h = math.gcd(math.gcd(x, q), y)
+    while h > 1:
+        x //= h
+        y //= h
+        h = math.gcd(math.gcd(x, h), y)
+    return Fraction(_LowestTerms(x, y))
 
 
 def _power_numerators(k: int, m_max: int) -> tuple[int, list]:
@@ -191,8 +227,10 @@ def ikrn_exact(k: int, r: int, n: int) -> Fraction:
     algebraically identical to the weak-composition sum, in integers: the
     power sums p_m = N_m / D^m (D = lcm(1..k)) from one binary-splitting
     pass, G_j = D^j f_j from the integral form of the exponential
-    recurrence, and I = n! G_n / (kr (kr+1) ... (kr+n-1) D^n), reduced
-    once.  Raises :class:`ResourceLimitError` up front when D^n would exceed
+    recurrence, and I = n! G_n / (rho D^n) with rho = kr (kr+1) ... (kr+n-1).
+    A prime of both sides that divides neither n! nor rho divides G_n and D,
+    so the pair is reduced by the factors of n! rho gcd(G_n, D).  Raises
+    :class:`ResourceLimitError` up front when D^n would exceed
     ``EXACT_BIT_CEILING`` bits or the recurrence ``EXACT_WORK_CEILING``.
     """
     if k < 1 or r < 1 or n < 0:
@@ -201,7 +239,9 @@ def ikrn_exact(k: int, r: int, n: int) -> Fraction:
         return Fraction(1)  # at k = 1, x_1 = 1 on the zero-dimensional simplex
     d, nums = _power_numerators(k, n)
     g = _moment_numerators(r, nums)
-    return Fraction(math.factorial(n) * g[n], _rising(k * r, n) * d**n)
+    nf, rho = math.factorial(n), _rising(k * r, n)
+    # a prime of both sides divides n!, rho, or G_n and D together
+    return _reduced(nf * g[n], rho * d**n, nf * rho * math.gcd(g[n], d))
 
 
 _ENUMERATE_CEILING = 10**8  # largest composition count _ikrn_enumerate sums
@@ -244,8 +284,9 @@ def ikrn_bounds(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
     upper = lower * (1 + (1/3) sum_{m=2}^{n} 2^m n!/(n-m)! H_k^{-m}).
 
     With H_k = h/d in lowest terms and rho = kr (kr+1) ... (kr+n-1), both are
-    built from integers and reduced once:  lower = r^n h^n / (rho d^n) and
-    upper = r^n (3 h^n + sum_m 2^m n!/(n-m)! d^m h^{n-m}) / (3 rho d^n).
+    built from integers:  lower = r^n h^n / (rho d^n) and
+    upper = r^n (3 h^n + sum_m 2^m n!/(n-m)! d^m h^{n-m}) / (3 rho d^n),
+    reduced by the factors of r^n rho and 3 r^n rho.
     """
     if k < 1 or r < 1 or n < 1:
         raise ValueError("require k >= 1, r >= 1, n >= 1")
@@ -253,13 +294,16 @@ def ikrn_bounds(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
     h, d = hk.numerator, hk.denominator
     rn, hn, dn, rho = r**n, h**n, d**n, _rising(k * r, n)
     corr = sum(2**m * math.perm(n, m) * d**m * h ** (n - m) for m in range(2, n + 1))
-    return Fraction(rn * hn, rho * dn), Fraction(rn * (3 * hn + corr), 3 * rho * dn)
+    # gcd(h, d) = 1, so a prime of both sides of lower divides r or rho; the
+    # upper numerator is 3 r^n h^n mod d, so one of upper divides 3, r or rho
+    return (_reduced(rn * hn, rho * dn, rn * rho),
+            _reduced(rn * (3 * hn + corr), 3 * rho * dn, 3 * rn * rho))
 
 
 def ikrn_asymptotic(k: int, r: int, n: int) -> float:
     """Leading large-k approximation (log k + gamma)^n / k^n."""
-    if k < 1 or n < 1:
-        raise ValueError("require k >= 1, n >= 1")
+    if k < 1 or r < 1 or n < 1:
+        raise ValueError("require k >= 1, r >= 1, n >= 1")
     return (math.log(k) + EULER_GAMMA) ** n / float(k) ** n
 
 
@@ -285,13 +329,17 @@ def epsilon_ratio(k: int, r: int, n: int) -> EpsilonRatio:
         raise ValueError("require n >= 1 and k >= 2")
     # both moments share the power sums p_m(k), m <= max(2n-2, n); with
     # I(k,r,j) = j! G_j / (rising(kr, j) D^j) and k (k + 1/r) = k (kr+1)/r
-    # the quotient is one integer ratio, reduced by a single gcd
+    # the quotient is a G_{2n-2} D^2 / (b G_n^2) with small cofactors a, b
     d, nums = _power_numerators(k, max(2 * n - 2, n))
     g = _moment_numerators(r, nums)
-    kr = k * r
-    exact_sq = Fraction(
-        math.factorial(2 * n - 2) * g[2 * n - 2] * d * d * _rising(kr, n) ** 2 * r,
-        _rising(kr, 2 * n - 2) * k * (kr + 1) * (math.factorial(n) * g[n]) ** 2)
+    kr, gn = k * r, g[n]
+    a = math.factorial(2 * n - 2) * _rising(kr, n) ** 2 * r
+    b = _rising(kr, 2 * n - 2) * k * (kr + 1) * math.factorial(n) ** 2
+    # at n = 2, G_{2n-2} is G_n: one factor cancels before any gcd
+    top, bottom = (1, gn) if n == 2 else (g[2 * n - 2], gn * gn)
+    # a prime of both sides divides a, b, or G_n together with G_{2n-2} or D
+    exact_sq = _reduced(a * top * d * d, b * bottom,
+                        a * b * math.gcd(top, gn) * math.gcd(d, gn))
 
     with mpmath.workdps(40):
         exact = mpmath.sqrt(mpmath.mpf(exact_sq.numerator) / exact_sq.denominator)

@@ -104,6 +104,15 @@ def test_ikrn_mc_bad_input_exit2(bad, capsys):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("r", ["0", "-3"])
+def test_ikrn_asymptotic_bad_r_exit2(r, capsys):
+    # the asymptotic mode used to print a value for any r
+    rc = main(["ikrn", "--mode", "asymptotic", "--k", "5", "--r", r, "--n", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and "r >= 1" in err
+
+
 def test_ikrn_mc_zero_power_is_valid(capsys):
     assert main(["ikrn", "--k", "4", "--r", "1", "--n", "0", "--mode", "mc",
                  "--samples", "10", "--seed", "1"]) == 0
@@ -297,6 +306,15 @@ def test_ci_threshold_k_below_2_exit2_before_output(capsys):
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == "" and "--k" in err
+
+
+def test_ci_threshold_k_above_ceiling_exit3_before_output(capsys):
+    # the exact layer refuses k = 10^8; ln_k_min used to be printed first
+    rc = main(["ci-threshold", "--n", "2", "--s", "1", "--degrees", "15",
+               "--a", "1", "--k", "100000000"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == "" and err.startswith("resource ceiling:")
 
 
 def test_morse_fermat_zero_mix_exit4(tmp_path, capsys, monkeypatch):

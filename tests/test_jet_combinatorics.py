@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from jetmorse import jet_combinatorics
 from jetmorse.jet_combinatorics import (EULER_GAMMA, EpsilonRatio,
                                         ResourceLimitError, _ikrn_enumerate,
-                                        _power_numerators,
+                                        _power_numerators, _reduced,
                                         epsilon_ratio, harmonic, ikrn_asymptotic,
                                         ikrn_bounds, ikrn_exact, inverse_square_sum)
 from jetmorse.measures import sample_nu_batch
@@ -227,6 +227,36 @@ def test_epsilon_ratio_at_e10_pinned():
     assert v.within_bound and 0 < v.exact <= v.paper_bound
 
 
+# g is a product of small prime powers, so some primes need several rounds
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=st.lists(st.sampled_from([2, 3, 5, 7, 97]), max_size=60).map(math.prod),
+       u=st.integers(1, 2**300), v=st.integers(1, 2**300), c=st.integers(1, 2**40))
+def test_reduced_matches_fraction_property(g, u, v, c):
+    # x = g u, y = g v, q = g w: with w a multiple of gcd(u, v), every prime
+    # of gcd(x, y) divides q, as _reduced requires
+    w = c * math.gcd(u, v)
+    got = _reduced(g * u, g * v, g * w)
+    want = Fraction(g * u, g * v)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_epsilon_ratio_takes_no_full_size_gcd(monkeypatch):
+    # at k = ceil(e^10), n = 3 both sides of the quotient have about 190,000
+    # bits and share a 150-bit factor; no gcd may take two operands that large
+    real = math.gcd
+    big = []
+
+    def spy(*args):
+        if len(args) == 2 and min(abs(a).bit_length() for a in args) > 150_000:
+            big.append(tuple(a.bit_length() for a in args))
+        return real(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    epsilon_ratio(22027, 1, 3)
+    assert big == []
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(1, 5), r=st.integers(1, 3), n=st.integers(0, 4))
 def test_series_matches_enumeration_property(k, r, n):
@@ -288,3 +318,24 @@ def test_work_guard_rejects_long_recurrence(monkeypatch):
         ikrn_exact(2, 1, 4000)
     with pytest.raises(ResourceLimitError, match="recurrence"):
         ikrn_exact(10, 1, 1100)
+
+
+def test_exact_grid_pinned():
+    # one blake2b over the numerator and denominator of every exact value on
+    # a grid, as computed by the full-gcd reduction: a value that changes, or
+    # a pair left out of lowest terms, changes the digest
+    h = hashlib.blake2b(digest_size=16)
+
+    def put(v):
+        h.update(f"{v.numerator:x}/{v.denominator:x};".encode())
+
+    for k in [*range(1, 41), 97, 400, 2007]:
+        put(harmonic(k))
+        for r in (1, 2, 3):
+            for n in range(1, 7):
+                put(ikrn_exact(k, r, n))
+                for v in ikrn_bounds(k, r, n):
+                    put(v)
+                if k >= 2:
+                    put(epsilon_ratio(k, r, n).exact_squared)
+    assert h.hexdigest() == "a65bc16c33f188d013f56005e3fd17cd"
