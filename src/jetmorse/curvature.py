@@ -13,9 +13,7 @@ From the tensor we build:
 * the fiber form Q(zeta) (r x r) and the sampled curvature form
   sum_s (x_s/s) Q-contraction with u_s (n x n) of a draw (x, u), batched
   over draws by :func:`g_k_batch`,
-* its exact expectation H_k/(k r) eta,
-* the variance of the trace-free tensor over product spheres and a
-  restart-based estimate of the sup norm over unit (zeta, u).
+* its exact expectation H_k/(k r) eta.
 
 Sampled forms live in the real hermitian coordinates that ``hermitian`` owns.
 This module owns the tensor map (:func:`_tensor_map`, a real (r*r, n*n)
@@ -26,7 +24,6 @@ matrices to forms through :func:`_apply_tensor`.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,19 +31,13 @@ import numpy as np
 from .hermitian import (HermitianForm, _herm_basis, _herm_coords, _herm_matrices,
                         _symmetrized, _triu_pairs)
 from .jet_combinatorics import harmonic
-from .measures import mean_std_error, sample_sphere_batch
-from .rng import stream
 
 __all__ = [
     "CurvatureTensor",
     "eta",
     "trace_free",
-    "q_form",
-    "curvature_pairing",
     "g_k_batch",
     "expected_g_k",
-    "sigma_variance",
-    "sup_norm",
     "tensor_to_json",
     "tensor_from_json",
 ]
@@ -83,24 +74,6 @@ def trace_free(t: CurvatureTensor) -> CurvatureTensor:
     e = eta(t).entries
     correction = np.einsum("ij,ab->ijab", e / t.r, np.eye(t.r, dtype=complex))
     return CurvatureTensor(t.c - correction)
-
-
-def q_form(t: CurvatureTensor, zeta: np.ndarray) -> HermitianForm:
-    """Fiber form Q[a,b] = sum_{ij} c[i,j,a,b] zeta_i conj(zeta_j) for unit zeta."""
-    zeta = np.asarray(zeta, dtype=complex)
-    if zeta.shape != (t.n,):
-        raise ValueError("zeta must be an n-vector")
-    if abs(np.linalg.norm(zeta) - 1.0) > 1e-9:
-        raise ValueError("zeta must be a unit vector")
-    return HermitianForm(np.einsum("ijab,i,j->ab", t.c, zeta, zeta.conj()))
-
-
-def curvature_pairing(t: CurvatureTensor, zeta: np.ndarray, u: np.ndarray) -> float:
-    """Geometric pairing <Theta(zeta,zeta)u,u> = -sum c zeta conj(zeta) u conj(u)."""
-    zeta = np.asarray(zeta, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    s = np.einsum("ijab,i,j,a,b->", t.c, zeta, zeta.conj(), u, u.conj())
-    return -float(np.real(s))
 
 
 def _outer_coords(u: np.ndarray) -> np.ndarray:
@@ -178,66 +151,6 @@ def expected_g_k(t: CurvatureTensor, k: int) -> HermitianForm:
     return HermitianForm(factor * eta(t).entries)
 
 
-# sigma_variance warns when |eta| > _ETA_TOL max(1, |c|); a sup_norm restart
-# stops when the value moves by <= _SUP_TOL max(1, value) or after _SUP_MAX_ITER.
-_ETA_TOL, _SUP_TOL, _SUP_MAX_ITER = 1e-8, 1e-10, 200
-
-
-def sigma_variance(t: CurvatureTensor, n_zeta: int, seed: int) -> tuple[float, float]:
-    """Estimate of the squared deviation of a trace-free tensor over unit (zeta, u).
-
-    The inner u-average is closed form (sum of squared eigenvalues of the
-    trace-free fiber form over r(r+1)); only the zeta-average is Monte-Carlo.
-    Returns (estimate, std_error).  Warns when the tensor is not trace free.
-    """
-    if n_zeta < 2:
-        raise ValueError("n_zeta must be >= 2")
-    e = eta(t)
-    if float(np.abs(e.entries).max()) > _ETA_TOL * max(1.0, float(np.abs(t.c).max())):
-        warnings.warn("sigma_variance expects a trace-free tensor; "
-                      "pass trace_free(T)", stacklevel=2)
-    rng = stream(seed, "sigma", t.n, t.r)
-    zetas = sample_sphere_batch(t.n, (n_zeta,), rng)
-    r = t.r
-    forms = np.einsum("ijab,mi,mj->mab", t.c, zetas, zetas.conj(), optimize=True)
-    lam = np.linalg.eigvalsh(forms)
-    return mean_std_error(np.sum(lam**2, axis=1) / (r * (r + 1)))
-
-
-def sup_norm(t: CurvatureTensor, restarts: int, seed: int) -> float:
-    """Lower-bound estimate of sup over unit (zeta, u) of |sum c zeta conj(zeta) u conj(u)|.
-
-    Alternating maximization: for fixed u the optimum over zeta is the
-    top-|eigenvalue| eigenvector of the base form, for fixed zeta the
-    optimum over u is the top eigenvector of the fiber form; iterate until
-    stagnation, keep the best over random restarts.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rng = stream(seed, "supnorm", t.n, t.r)
-    best = 0.0
-    for _ in range(restarts):
-        zeta = sample_sphere_batch(t.n, (), rng)
-        u = sample_sphere_batch(t.r, (), rng)
-        value = 0.0
-        for _ in range(_SUP_MAX_ITER):
-            # top eigenvector of the quadratic form in our index convention
-            # is the conjugate of the matrix eigenvector
-            base = np.einsum("ijab,a,b->ij", t.c, u, u.conj())
-            lam, vecs = np.linalg.eigh(base)
-            zeta = np.conj(vecs[:, np.argmax(np.abs(lam))])
-            fiber = np.einsum("ijab,i,j->ab", t.c, zeta, zeta.conj())
-            lam, vecs = np.linalg.eigh(fiber)
-            u = np.conj(vecs[:, np.argmax(np.abs(lam))])
-            new_value = abs(curvature_pairing(t, zeta, u))
-            if abs(new_value - value) <= _SUP_TOL * max(1.0, new_value):
-                value = new_value
-                break
-            value = new_value
-        best = max(best, value)
-    return best
-
-
 def tensor_to_json(t: CurvatureTensor) -> str:
     """Serialize as {"n":..., "r":..., "c": flat row-major [re, im] pairs}."""
     flat = t.c.reshape(-1)
@@ -245,12 +158,30 @@ def tensor_to_json(t: CurvatureTensor) -> str:
     return json.dumps({"n": t.n, "r": t.r, "c": pairs})
 
 
+def _json_int(data: dict, key: str, default: int | None = None) -> int:
+    """``data[key]`` (or ``default`` when absent) as an int; raises ValueError
+    naming ``key`` for null, bool, non-numeric or non-integral values."""
+    value = data[key] if default is None else data.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"model field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_complex(pair) -> complex:
+    """complex(re, im) of a JSON [re, im] pair; raises ValueError otherwise."""
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)):
+        raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}")
+    return complex(*pair)
+
+
 def tensor_from_json(text: str) -> CurvatureTensor:
     """Inverse of :func:`tensor_to_json`; validates symmetry on load."""
     data = json.loads(text) if isinstance(text, str) else text
-    n, r = int(data["n"]), int(data["r"])
+    n, r = _json_int(data, "n"), _json_int(data, "r")
     pairs = data["c"]
     if len(pairs) != n * n * r * r:
         raise ValueError("coefficient array has wrong length")
-    flat = np.array([complex(re, im) for re, im in pairs])
+    flat = np.array([_json_complex(pair) for pair in pairs])
     return CurvatureTensor(flat.reshape(n, n, r, r))

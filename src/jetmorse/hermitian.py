@@ -1,4 +1,4 @@
-"""Hermitian-form calculus: eigenvalues, signatures, signed index determinants.
+"""Hermitian-form calculus: eigenvalues, signed index determinants, norms.
 
 A :class:`HermitianForm` stores the coefficient matrix A of a sesquilinear
 form  Q(v) = sum_{a,b} A[a,b] v_a conj(v_b).  With the hermitian symmetry
@@ -15,7 +15,7 @@ inverse :func:`_herm_matrices`) that ``curvature`` and ``morse_mc`` share.
 
 Each form eigensolves once and keeps its spectrum twice: the read-only
 ndarray :attr:`HermitianForm.spectrum`, and a tuple of Python floats that
-:func:`signature`, :func:`signed_index_det`, :func:`operator_norm` and
+:func:`signed_index_det`, :func:`operator_norm` and
 :func:`det_diff_bound_holds` read.  A form has few eigenvalues, so counting
 signs in a Python loop, ``math.prod`` (bit-equal to ``np.prod`` at these
 sizes) and the norm read off the two ends of the ascending spectrum cost a
@@ -38,11 +38,9 @@ import numpy as np
 __all__ = [
     "HermitianForm",
     "eigenvalues",
-    "signature",
     "signed_index_det",
     "det_diff_bound_holds",
     "sphere_second_moment",
-    "trace_free_part",
     "operator_norm",
 ]
 
@@ -85,11 +83,6 @@ class HermitianForm:
     @staticmethod
     def diagonal(values) -> "HermitianForm":
         return HermitianForm(np.diag(np.asarray(values, dtype=complex)))
-
-    def quadratic(self, v: np.ndarray) -> float:
-        """Q(v) = sum A[a,b] v_a conj(v_b); real for hermitian A."""
-        v = np.asarray(v, dtype=complex)
-        return float(np.real(np.einsum("ab,a,b->", self.entries, v, v.conj())))
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
         return HermitianForm(self.entries + other.entries)
@@ -170,13 +163,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be >= 0 and finite")
 
 
-def signature(a: HermitianForm, tol: float) -> tuple[int, int, int]:
-    """(plus, minus, zero) eigenvalue counts at tolerance band [-tol, tol]."""
-    _check_tol(tol)
-    plus, minus = _sign_counts(a._lam, tol)
-    return plus, minus, a.dim - plus - minus
-
-
 def signed_index_det(a: HermitianForm, q: int, tol: float) -> float:
     """det(A) if the signature is exactly (dim-q, q) with no nullity, else 0."""
     _check_tol(tol)
@@ -250,9 +236,3 @@ def sphere_second_moment(a: HermitianForm) -> float:
     lam = eigenvalues(a)
     n = a.dim
     return float((np.sum(lam**2) + np.sum(lam) ** 2) / (n * (n + 1)))
-
-
-def trace_free_part(a: HermitianForm) -> HermitianForm:
-    """A minus (tr A / dim) times the identity."""
-    t = np.trace(a.entries) / a.dim
-    return HermitianForm(a.entries - t * np.eye(a.dim))

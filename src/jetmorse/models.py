@@ -2,9 +2,9 @@
 
 Sign ledger.  The coefficient arrays are stored so that the fiber trace
 eta is the curvature of the dual determinant bundle; the geometric pairing
-(see :func:`jetmorse.curvature.curvature_pairing`) is minus the raw
-coefficient sum.  For the tangent bundle of a hypersurface of projective
-space the pairing is
+<Theta(zeta,zeta)u,u> is minus the raw coefficient sum,
+-Re sum c[i,j,a,b] zeta_i conj(zeta_j) u_a conj(u_b).  For the tangent bundle
+of a hypersurface of projective space the pairing is
 
     |zeta|^2 |u|^2 + |<zeta, u>|^2 - |beta(zeta) . u|^2,
 
@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTensor, eta, sup_norm, tensor_from_json, trace_free
-from .hermitian import HermitianForm, operator_norm
-from .jet_combinatorics import inverse_square_sum
+from .curvature import CurvatureTensor, _json_complex, _json_int, tensor_from_json
+from .hermitian import HermitianForm
 from .morse_mc import ManifoldPoint, ManifoldSample
 from .rng import stream
 
@@ -51,7 +50,6 @@ __all__ = [
     "fermat_sample",
     "random_tensor",
     "ci_threshold",
-    "j_bound",
     "build_sample",
 ]
 
@@ -245,6 +243,8 @@ def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
 
 def random_tensor(n: int, r: int, scale: float, seed: int) -> CurvatureTensor:
     """Hermitian-symmetrized complex-Gaussian coefficient tensor."""
+    if n < 1 or r < 1:
+        raise ValueError(f"random tensor needs n >= 1 and r >= 1, got n={n}, r={r}")
     if not 0 <= scale < math.inf:
         raise ValueError("scale must be finite and >= 0")
     rng = stream(seed, "random-tensor", n, r)
@@ -266,36 +266,6 @@ def ci_threshold(spec: CompleteIntersectionSpec) -> float:
     return 7.38 * n ** (n + 0.5) * float(ratio) ** n
 
 
-_J_RESTARTS = 8  # restarts of each sup_norm in j_bound
-
-
-def j_bound(M: ManifoldSample, k: int, seed: int = 0) -> float:
-    """Quadrature bound n r^{1/2} (sum_{s<=k} 1/s^2)^{1/2} sum_p w |T~| sum_i r^i |T|^i |eta|^{n-1-i}.
-
-    Norms of the full and trace-free tensors come from the restart
-    maximizer; the eta norm is the exact operator norm.  n = 1 gives 0 (the
-    inner sum is empty), as does a sample whose trace-free parts all vanish.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n, r = M.n, M.r
-    if n == 1:
-        return 0.0
-    partial = inverse_square_sum(k)
-    terms = []
-    for p in M.points:
-        tf = trace_free(p.tensor)
-        if float(np.abs(tf.c).max()) == 0.0:
-            continue
-        norm_tf = sup_norm(tf, _J_RESTARTS, seed)
-        norm_t = sup_norm(p.tensor, _J_RESTARTS, seed)
-        norm_eta = operator_norm(eta(p.tensor))
-        inner = math.fsum(r**i * norm_t**i * norm_eta ** (n - 1 - i)
-                          for i in range(1, n))
-        terms.append(p.weight * norm_tf * inner)
-    return n * math.sqrt(r) * math.sqrt(partial) * math.fsum(terms)
-
-
 def build_sample(spec: dict) -> ManifoldSample:
     """Construct a ManifoldSample from a model description dictionary.
 
@@ -305,16 +275,16 @@ def build_sample(spec: dict) -> ManifoldSample:
     """
     kind = spec.get("type")
     if kind == "fubini_study":
-        n = int(spec["n"])
+        n = _json_int(spec, "n")
         return ManifoldSample((ManifoldPoint("fs", fubini_study_tensor(n), 1.0),))
     if kind == "fermat":
-        return fermat_sample(int(spec["n"]), int(spec["d"]),
-                             int(spec.get("points", 100)), int(spec["seed"]))
+        return fermat_sample(_json_int(spec, "n"), _json_int(spec, "d"),
+                             _json_int(spec, "points", 100), _json_int(spec, "seed"))
     if kind == "random":
-        n, r = int(spec["n"]), int(spec["r"])
-        count = int(spec.get("points", 1))
+        n, r = _json_int(spec, "n"), _json_int(spec, "r")
+        count = _json_int(spec, "points", 1)
         scale = float(spec.get("scale", 1.0))
-        seed = int(spec["seed"])
+        seed = _json_int(spec, "seed")
         pts = tuple(
             ManifoldPoint(f"pt{m:05d}", random_tensor(n, r, scale, seed + m),
                           1.0 / count)
@@ -327,8 +297,7 @@ def build_sample(spec: dict) -> ManifoldSample:
             twist = None
             if entry.get("twist") is not None:
                 twist = HermitianForm(np.array(
-                    [[complex(re, im) for re, im in row]
-                     for row in entry["twist"]]))
+                    [[_json_complex(pair) for pair in row] for row in entry["twist"]]))
             pts.append(ManifoldPoint(str(entry["id"]), tensor,
                                      float(entry["weight"]), twist))
         weights = math.fsum(p.weight for p in pts)

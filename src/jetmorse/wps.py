@@ -22,9 +22,9 @@ finite-p draw reduces to the same: the one-point simplex draws nothing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +33,7 @@ from .rng import stream
 
 __all__ = [
     "WeightSpec",
-    "FiberPoint",
     "FiberEvaluationError",
-    "phi",
-    "phi_limit",
     "volume_closed_form",
     "integrate_fiber",
     "integrate_fiber_limit",
@@ -84,58 +81,6 @@ class WeightSpec:
     @property
     def k(self) -> int:
         return len(self.a)
-
-    @property
-    def total_rank(self) -> int:
-        return sum(self.r)
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    """A tuple of complex vectors z_s in C^{r_s}, not all zero."""
-
-    z: tuple
-
-    def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.z)
-        if len(vecs) < 1:
-            raise ValueError("fiber point must have at least one block")
-        if all(float(np.linalg.norm(v)) == 0.0 for v in vecs):
-            raise ValueError("fiber point must be nonzero")
-        object.__setattr__(self, "z", vecs)
-
-    def scaled(self, lam: complex, a: Sequence[int]) -> "FiberPoint":
-        """The weighted action lambda . z = (lambda^{a_s} z_s)."""
-        return FiberPoint(tuple(lam**a_s * v for a_s, v in zip(a, self.z)))
-
-
-def _norms(w: WeightSpec, z: FiberPoint) -> np.ndarray:
-    if len(z.z) != w.k:
-        raise ValueError("fiber point has wrong number of blocks")
-    for v, r_s in zip(z.z, w.r):
-        if v.size != r_s:
-            raise ValueError("fiber point block dimension mismatch")
-    return np.array([np.linalg.norm(v) for v in z.z])
-
-
-def phi(w: WeightSpec, z: FiberPoint) -> float:
-    """Potential (1/p) log sum_s |z_s|^{2p/a_s}; log-homogeneous under the action.
-
-    Evaluated in log space so that large p does not underflow the powers.
-    """
-    norms = _norms(w, z)
-    logs = np.array([(2.0 * w.p / a_s) * np.log(n) if n > 0 else -np.inf
-                     for n, a_s in zip(norms, w.a)])
-    top = logs.max()
-    return float((top + np.log(np.sum(np.exp(logs - top)))) / w.p)
-
-
-def phi_limit(w: WeightSpec, z: FiberPoint) -> float:
-    """Pointwise p -> infinity limit: log max_s |z_s|^{2/a_s}."""
-    norms = _norms(w, z)
-    vals = [2.0 / a_s * np.log(n) if n > 0 else -np.inf
-            for n, a_s in zip(norms, w.a)]
-    return float(np.max(vals))
 
 
 def volume_closed_form(w: WeightSpec) -> Fraction:

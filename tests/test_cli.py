@@ -399,3 +399,32 @@ def test_morse_mixed_twist_model_exit2(tmp_path, capsys):
     assert rc == 2
     assert "all twisted or all untwisted" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+_EXPLICIT_STRINGS = {"type": "explicit", "points": [
+    {"id": "a", "weight": 1.0, "tensor": {"n": 1, "r": 1, "c": [["1", "0"]]}}]}
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"type": "random", "n": None, "r": 2, "seed": 1},
+     "model field 'n' must be an integer, got None"),
+    ({"type": "random", "n": 2.7, "r": 2, "seed": 1},
+     "model field 'n' must be an integer, got 2.7"),
+    ({"type": "random", "n": 2, "r": 2, "seed": True},
+     "model field 'seed' must be an integer, got True"),
+    ({"type": "fermat", "n": 1, "d": 3, "points": "10", "seed": 1},
+     "model field 'points' must be an integer, got '10'"),
+    ({"type": "random", "n": 0, "r": 2, "seed": 1},
+     "random tensor needs n >= 1 and r >= 1, got n=0, r=2"),
+    (_EXPLICIT_STRINGS, "expected a [re, im] pair of numbers, got ['1', '0']"),
+], ids=["n-null", "n-fraction", "seed-bool", "points-string", "n-zero", "c-strings"])
+def test_morse_malformed_model_field_exit2(model, message, tmp_path, capsys):
+    # a null n and string [re, im] pairs used to raise TypeError (exit 1), n 2.7,
+    # seed true and points "10" ran as 2, 1 and 10, and n 0 failed with
+    # "zero-size array to reduction operation maximum"
+    rc = main(["morse", "--model", json.dumps(model), "--k-list", "2",
+               "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()

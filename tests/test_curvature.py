@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -6,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmorse.curvature import (CurvatureTensor, _tensor_map, curvature_pairing, eta,
-                                expected_g_k, g_k_batch, q_form, sigma_variance,
-                                sup_norm, tensor_from_json, tensor_to_json,
-                                trace_free)
+from jetmorse.curvature import (CurvatureTensor, _tensor_map, eta, expected_g_k,
+                                g_k_batch, tensor_from_json, tensor_to_json, trace_free)
 from jetmorse.hermitian import _herm_basis, _herm_coords, _herm_matrices, _triu_pairs
 from jetmorse.measures import sample_nu_batch, sample_sphere_batch
-from jetmorse.models import fubini_study_tensor, random_tensor
+from jetmorse.models import random_tensor
 from jetmorse.rng import stream
 
 
@@ -41,15 +38,6 @@ def test_eta_is_fiber_trace():
 def test_trace_free_kills_eta():
     t = random_tensor(3, 2, 1.0, 5)
     assert float(np.abs(eta(trace_free(t)).entries).max()) < 1e-12
-
-
-def test_q_form_and_pairing_consistency():
-    t = random_tensor(2, 2, 1.0, 9)
-    rng = stream(3, "qf")
-    zeta = sample_sphere_batch(2, (), rng)
-    u = sample_sphere_batch(2, (), rng)
-    q = q_form(t, zeta)
-    assert curvature_pairing(t, zeta, u) == pytest.approx(-q.quadratic(u))
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -100,52 +88,6 @@ def test_expected_g_k_mc():
         assert np.all(dev <= 3 * np.maximum(se, 1e-12))
 
 
-def test_sigma_variance_direct_mc():
-    t = trace_free(random_tensor(2, 2, 1.0, 3))
-    est, se = sigma_variance(t, 50000, 4)
-    rng = stream(8, "direct")
-    m = 100000
-    z = sample_sphere_batch(2, (m,), rng)
-    u = sample_sphere_batch(2, (m,), rng)
-    vals = np.real(np.einsum("ijab,mi,mj,ma,mb->m", t.c, z, z.conj(),
-                             u, u.conj(), optimize=True)) ** 2
-    se2 = vals.std() / math.sqrt(m)
-    assert abs(est - vals.mean()) < 3 * math.hypot(se, se2)
-
-
-def test_sigma_variance_bytes_pinned():
-    # blake2b of the float.hex pair, pinned so that a refactor keeps every
-    # bit (numpy 2.4 / OpenBLAS 0.3 on x86-64)
-    est, se = sigma_variance(trace_free(random_tensor(2, 2, 1.0, 3)), 5000, 4)
-    digest = hashlib.blake2b(f"{est.hex()} {se.hex()}".encode(),
-                             digest_size=16).hexdigest()
-    assert digest == "8e727cb8ae4d1d47a6226e4a18121f3d"
-
-
-def test_sup_norm_bytes_pinned():
-    # blake2b of the float.hex values, pinned before sup_norm's iteration
-    # limits became module constants (numpy 2.4 / OpenBLAS 0.3 on x86-64)
-    a = sup_norm(random_tensor(2, 3, 1.0, 5), 8, 2)
-    b = sup_norm(random_tensor(3, 2, 1.0, 6), 8, 3)
-    digest = hashlib.blake2b(f"{a.hex()} {b.hex()}".encode(),
-                             digest_size=16).hexdigest()
-    assert digest == "8c78f692bc7549c637e86c6f48bcc38e"
-
-
-def test_sigma_variance_warns_on_traceful():
-    t = random_tensor(2, 2, 1.0, 3)
-    with pytest.warns(UserWarning):
-        sigma_variance(t, 100, 1)
-
-
-def test_sup_norm_diagonal_oracle():
-    # decoupled tensor c[ijab] = d_i delta_ij delta_ab: sup is max |d_i|
-    d = np.array([0.5, -2.0, 1.0])
-    c = np.einsum("i,ij,ab->ijab", d, np.eye(3), np.eye(2)).astype(complex)
-    t = CurvatureTensor(c)
-    assert sup_norm(t, 8, 1) == pytest.approx(2.0, abs=1e-8)
-
-
 def test_tensor_symmetrization_keeps_huge_finite_entries():
     big = 0.75 * np.finfo(float).max
     c = np.zeros((1, 1, 2, 2), dtype=complex)
@@ -154,11 +96,6 @@ def test_tensor_symmetrization_keeps_huge_finite_entries():
     t = CurvatureTensor(c)
     assert t.c[0, 0, 0, 0] == big
     assert np.isfinite(t.c).all()
-
-
-def test_sup_norm_fubini_study():
-    for n in (1, 2, 3):
-        assert sup_norm(fubini_study_tensor(n), 6, 2) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_json_roundtrip():

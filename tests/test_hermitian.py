@@ -7,8 +7,7 @@ import pytest
 from jetmorse import morse_mc
 from jetmorse.cli import main
 from jetmorse.hermitian import (HermitianForm, det_diff_bound_holds, eigenvalues,
-                                operator_norm, signature, signed_index_det,
-                                sphere_second_moment, trace_free_part)
+                                operator_norm, signed_index_det, sphere_second_moment)
 from jetmorse.measures import sample_sphere_batch
 from jetmorse.rng import stream
 
@@ -36,21 +35,6 @@ def test_form_symmetrization_keeps_huge_finite_entries():
     form = HermitianForm.diagonal([big, 1.0])
     assert form.entries[0, 0] == big
     assert np.isfinite(form.entries).all()
-
-
-def test_quadratic_real_and_matches_eigen():
-    rng = stream(2, "herm")
-    a = _random_form(4, rng)
-    v = sample_sphere_batch(4, (), rng)
-    q = a.quadratic(v)
-    lam = eigenvalues(a)
-    assert lam[0] - 1e-12 <= q <= lam[-1] + 1e-12
-
-
-def test_signature_counts():
-    a = HermitianForm.diagonal([2.0, -1.0, 0.0])
-    assert signature(a, 1e-9) == (1, 1, 1)
-    assert signature(a, 1e-12) == (1, 1, 1)
 
 
 def test_signed_index_det():
@@ -147,18 +131,9 @@ def test_sphere_second_moment_sandwich():
             assert nrm**2 / dim**2 - 1e-12 <= v <= nrm**2 + 1e-12
 
 
-def test_trace_free_part():
-    a = HermitianForm.diagonal([1.0, 3.0])
-    t = trace_free_part(a)
-    assert abs(np.trace(t.entries)) < 1e-14
-    assert t.entries[0, 0] == pytest.approx(-1.0)
-
-
 @pytest.mark.parametrize("tol", [math.nan, -5.0, -0.5e-300, math.inf])
 def test_bad_tolerance_raises(tol):
     a = HermitianForm.diagonal([2.0, -1.0, 0.5])
-    with pytest.raises(ValueError, match="tol must be >= 0"):
-        signature(a, tol)
     for q in range(a.dim + 1):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             signed_index_det(a, q, tol)
@@ -166,13 +141,6 @@ def test_bad_tolerance_raises(tol):
 
 # numpy versions of the spectrum helpers, as they read the ndarray spectrum
 # before the helpers moved to plain Python floats; the oracle for bit equality
-
-def _np_signature(a, tol):
-    lam = a.spectrum
-    plus = int(np.sum(lam > tol))
-    minus = int(np.sum(lam < -tol))
-    return plus, minus, a.dim - plus - minus
-
 
 def _np_signed_index_det(a, q, tol):
     lam = a.spectrum
@@ -232,7 +200,6 @@ def test_spectrum_helpers_bit_equal_numpy():
         # norm-relative band
         scaled = 1e-9 * max(1.0, operator_norm(a))
         for tol in [0.0, 1e-9, scaled] + [abs(x) for x in lam.tolist()]:
-            assert signature(a, tol) == _np_signature(a, tol)
             for q in range(a.dim + 1):
                 assert _bits(signed_index_det(a, q, tol)) == _bits(_np_signed_index_det(a, q, tol))
         assert _bits(operator_norm(a)) == _bits(_np_operator_norm(a))

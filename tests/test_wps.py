@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 
 from jetmorse.measures import sample_sphere_batch
 from jetmorse.rng import stream
-from jetmorse.wps import (FiberEvaluationError, FiberPoint, WeightSpec,
-                          integrate_fiber, integrate_fiber_limit, phi, phi_limit,
-                          volume_closed_form)
+from jetmorse.wps import (FiberEvaluationError, WeightSpec, integrate_fiber,
+                          integrate_fiber_limit, volume_closed_form)
 
 
 def test_weight_spec_validation():
     w = WeightSpec((1, 2, 3), (1, 1, 1))
     assert w.p == 6.0  # lcm default
-    assert w.total_rank == 3
     with pytest.raises(ValueError):
         WeightSpec((2, 4), (1, 1))  # not coprime
     with pytest.raises(ValueError):
@@ -37,30 +35,6 @@ def test_volume_closed_form():
     assert volume_closed_form(WeightSpec((1, 2, 3), (1, 1, 1))) == Fraction(1, 6)
     assert volume_closed_form(WeightSpec((1, 2), (2, 1))) == Fraction(1, 2)
     assert volume_closed_form(WeightSpec((1,), (4,))) == 1
-
-
-def test_phi_log_homogeneous():
-    # phi(lambda . z) = phi(z) + 2 log|lambda| for the weighted action
-    w = WeightSpec((1, 2), (2, 1))
-    z = FiberPoint((np.array([0.3 + 0.1j, -0.2j]), np.array([0.5 + 0.4j])))
-    lam = 0.7 - 0.3j
-    got = phi(w, z.scaled(lam, w.a))
-    assert abs(got - (phi(w, z) + 2 * math.log(abs(lam)))) < 1e-12
-
-
-def test_phi_limit_is_pointwise_limit():
-    w_small = WeightSpec((1, 2), (1, 1), p=2.0)
-    w_big = WeightSpec((1, 2), (1, 1), p=4096.0)
-    z = FiberPoint((np.array([0.8]), np.array([0.6])))
-    lim = phi_limit(w_big, z)
-    assert abs(phi(w_big, z) - lim) < 1e-3
-    assert abs(phi(w_small, z) - lim) > abs(phi(w_big, z) - lim)
-
-
-def test_phi_limit_zero_block():
-    w = WeightSpec((1, 2), (1, 1))
-    z = FiberPoint((np.array([0.0]), np.array([0.5])))
-    assert phi_limit(w, z) == 2 / 2 * math.log(0.5)
 
 
 def test_integrate_fiber_constant_matches_volume():
