@@ -50,8 +50,8 @@ class CurvatureTensor:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=complex)
-        if c.ndim != 4 or c.shape[0] != c.shape[1] or c.shape[2] != c.shape[3]:
-            raise ValueError("coefficients must have shape (n, n, r, r)")
+        if c.ndim != 4 or c.shape[0] != c.shape[1] or c.shape[2] != c.shape[3] or not c.size:
+            raise ValueError(f"coefficient shape {c.shape} is not (n, n, r, r) with n, r >= 1")
         object.__setattr__(self, "c", _symmetrized(
             c, (1, 0, 3, 2), "coefficients", "coefficients violate hermitian symmetry"))
 
@@ -166,6 +166,15 @@ def _json_int(data: dict, key: str, default: int | None = None) -> int:
             or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"model field {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_float(data: dict, key: str, default: float | None = None) -> float:
+    """``data[key]`` (or ``default`` when absent) as a float; raises ValueError
+    naming ``key`` for null, bool or non-numeric values."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"model field {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _json_complex(pair) -> complex:

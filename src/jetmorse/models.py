@@ -13,18 +13,25 @@ plus the positive beta-square term, and the trace identity reads
 
     eta = Tr(beta beta*) - (n+1) . identity.
 
-Fermat sampling.  Points of {sum z_j^d = 0} are generated by solving for
-one coordinate over a uniformly drawn base direction; the solved coordinate
-index is itself uniform, and each point carries an importance weight
-1 / sum_j det(Gram of the j-th coordinate projection), which removes the
-branched-covering bias of any single solve coordinate while keeping the
-weights bounded (every branch locus {z_j = 0} is covered by the other
-coordinates' schemes).  The draws run point by point in stream order; the
-geometry then runs once on the stacked unit points: one complete QR of the
-(P, n+2, 2) spans gives the horizontal tangent frames, one batched
-determinant per dropped coordinate gives the projection Gram determinants,
-and one einsum each gives the second fundamental forms and the coefficients
-FS(n) + b b*.  The one-point functions are single-row calls of that pass.
+Fermat sampling.  Points of X = {P = sum z_j^d = 0} are drawn by solving
+for a uniformly chosen coordinate over a uniform base direction, and carry
+the importance weight 1 / sum_j J_j, with J_j the Fubini-Study Jacobian of
+the projection dropping coordinate j; this removes the branched-covering
+bias of any single solve coordinate.  At unit z on X, with g = conj(grad P) / |grad P|,
+
+    J_j = |g_j|^2 / (1 - |z_j|^2)^(n+1).
+
+C^{n+2} splits orthogonally into z, g and the tangent frame A (Euler's
+identity gives <g, z> ~ d P(z) = 0).  Drop z_j, let b be the j-th row of A
+and zeta the rest of z: the pulled-back Gram matrix
+|zeta|^2 (I - b b*) - |z_j|^2 b b* equals |zeta|^2 I - b b*, and its
+determinant over |zeta|^{4n} is |g_j|^2 / |zeta|^{2(n+1)}.  The |g_j|^2 sum
+to 1 and no denominator exceeds 1, so every raw weight lies in (0, 1].  The
+draws run point by point in stream order; the geometry then runs once on
+the stacked unit points: one complete QR of the (P, n+2, 2) spans gives the
+horizontal tangent frames, one einsum each gives the second fundamental
+forms and the coefficients FS(n) + b b*, and the one-point functions are
+single-row calls of that pass.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTensor, _json_complex, _json_int, tensor_from_json
+from .curvature import (CurvatureTensor, _json_complex, _json_float, _json_int,
+                        tensor_from_json)
 from .hermitian import HermitianForm
 from .morse_mc import ManifoldPoint, ManifoldSample
 from .rng import stream
@@ -156,48 +164,31 @@ def _unit_fermat_points(z: np.ndarray, d: int) -> np.ndarray:
     return z
 
 
-def _fermat_geometry(z: np.ndarray, d: int) -> tuple:
-    """Horizontal tangent frames (P, n+2, n) and second fundamental forms (P, n, n).
+def _fermat_geometry(z: np.ndarray, d: int) -> np.ndarray:
+    """Second fundamental forms (P, n, n) at the unit rows z of X.
 
-    The columns of frames[p] are orthonormal and span {w : <w, z_p> = 0,
-    sum_j w_j dP/dz_j = 0}; b[p] is the holomorphic Hessian of the defining
-    polynomial on that frame, divided by the gradient norm.
+    b[p] is the holomorphic Hessian of the defining polynomial on a
+    horizontal tangent frame, whose orthonormal columns span {w : <w, z_p> = 0,
+    sum_j w_j dP/dz_j = 0}, divided by the gradient norm.  Both are taken at
+    z / max_j |z_j|, where |grad P| >= d, and b is scaled back.
     """
-    grad = d * z ** (d - 1)
+    top = np.abs(z).max(axis=1)
+    w = z / top[:, None]
+    grad = d * w ** (d - 1)
     gn = np.linalg.norm(grad, axis=1)
-    if (gn < 1e-12).any():
-        raise ValueError("singular point: gradient vanishes on the cone")
     span = np.stack([z, grad.conj() / gn[:, None]], axis=2)
     frames = np.linalg.qr(span, mode="complete").Q[:, :, 2:]
-    if d == 1:
-        n = z.shape[1] - 2
-        return frames, np.zeros((len(z), n, n), dtype=complex)
-    hess = d * (d - 1) * z ** (d - 2)
-    b = np.einsum("pj,pji,pja->pia", hess, frames, frames) / gn[:, None, None]
-    return frames, b
+    hess = d * (d - 1) * w ** max(d - 2, 0)
+    return np.einsum("pj,pji,pja->pia", hess, frames, frames) / (gn * top)[:, None, None]
 
 
-def _projection_gram_dets(z: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """(P, n+2) dets of the pulled-back Fubini-Study Gram of each coordinate projection.
-
-    Column j is the projection dropping coordinate j; it reads 0 where the
-    kept coordinates nearly vanish.
-    """
-    dim = z.shape[1]
-    dets = np.empty(z.shape)
-    for drop in range(dim):
-        keep = np.arange(dim) != drop
-        zeta = z[:, keep]
-        a = frames[:, keep, :]
-        ah = a.conj().transpose(0, 2, 1)
-        nz2 = np.einsum("pk,pk->p", zeta.conj(), zeta).real
-        proj = ah @ zeta[:, :, None]
-        gram = (ah @ a) * nz2[:, None, None] - proj @ proj.conj().transpose(0, 2, 1)
-        live = nz2 >= 1e-14
-        scale = np.where(live, nz2, 1.0) ** 2
-        det = np.linalg.det(gram / scale[:, None, None]).real
-        dets[:, drop] = np.where(live, np.fmax(det, 0.0), 0.0)
-    return dets
+def _projection_jacobians(z: np.ndarray, d: int) -> np.ndarray:
+    """(P, n+2) Jacobians J_j of the module docstring at unit rows z on X, with
+    the powers taken on |z| / max_j |z_j|, so that none underflows."""
+    a = np.abs(z / np.abs(z).max(axis=1, keepdims=True)) ** 2
+    g = a ** (d - 1)
+    total = a.sum(axis=1, keepdims=True)
+    return g / g.sum(axis=1, keepdims=True) / ((total - a) / total) ** (z.shape[1] - 1)
 
 
 def fermat_second_fundamental_form(n: int, d: int, point: Sequence[complex]
@@ -213,8 +204,7 @@ def fermat_second_fundamental_form(n: int, d: int, point: Sequence[complex]
     z = np.asarray(point, dtype=complex).reshape(-1)
     if z.size != n + 2:
         raise ValueError("point must have n+2 components")
-    _, b = _fermat_geometry(_unit_fermat_points(z[None, :], d), d)
-    return SecondFundamentalForm(b)
+    return SecondFundamentalForm(_fermat_geometry(_unit_fermat_points(z[None, :], d), d))
 
 
 def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
@@ -225,20 +215,12 @@ def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
         raise ValueError("d must be >= 1")
     rng = stream(seed, "fermat", n, d)
     z = _unit_fermat_points(_fermat_points(n, d, count, rng), d)
-    frames, b = _fermat_geometry(z, d)
-    raw = []
-    for m, dets in enumerate(_projection_gram_dets(z, frames).tolist()):
-        mix = math.fsum(dets)
-        if not mix > 0:
-            raise FloatingPointError(
-                f"fermat point {m}: the projection Gram determinants sum to {mix!r}, "
-                "so its importance weight is undefined")
-        raw.append(1.0 / mix)
+    raw = [1.0 / math.fsum(row) for row in _projection_jacobians(z, d).tolist()]
     total = math.fsum(raw)
-    c = _hypersurface_coefficients(b[:, None])
+    c = _hypersurface_coefficients(_fermat_geometry(z, d)[:, None])
     pts = tuple(ManifoldPoint(f"pt{m:05d}", CurvatureTensor(c[m]), w / total)
                 for m, w in enumerate(raw))
-    return ManifoldSample(pts, total_volume=1.0)
+    return ManifoldSample(pts)
 
 
 def random_tensor(n: int, r: int, scale: float, seed: int) -> CurvatureTensor:
@@ -273,6 +255,8 @@ def build_sample(spec: dict) -> ManifoldSample:
     "random" (n, r, scale, points, seed), "explicit" (points list embedding
     serialized tensors and optional twist matrices).
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"model must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("type")
     if kind == "fubini_study":
         n = _json_int(spec, "n")
@@ -283,7 +267,7 @@ def build_sample(spec: dict) -> ManifoldSample:
     if kind == "random":
         n, r = _json_int(spec, "n"), _json_int(spec, "r")
         count = _json_int(spec, "points", 1)
-        scale = float(spec.get("scale", 1.0))
+        scale = _json_float(spec, "scale", 1.0)
         seed = _json_int(spec, "seed")
         pts = tuple(
             ManifoldPoint(f"pt{m:05d}", random_tensor(n, r, scale, seed + m),
@@ -291,15 +275,16 @@ def build_sample(spec: dict) -> ManifoldSample:
             for m in range(count))
         return ManifoldSample(pts)
     if kind == "explicit":
-        pts = []
-        for entry in spec["points"]:
+        entries, pts = spec["points"], []
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("model field 'points' must be a list of objects")
+        for entry in entries:
             tensor = tensor_from_json(entry["tensor"])
             twist = None
             if entry.get("twist") is not None:
                 twist = HermitianForm(np.array(
                     [[_json_complex(pair) for pair in row] for row in entry["twist"]]))
             pts.append(ManifoldPoint(str(entry["id"]), tensor,
-                                     float(entry["weight"]), twist))
-        weights = math.fsum(p.weight for p in pts)
-        return ManifoldSample(tuple(pts), total_volume=weights)
+                                     _json_float(entry, "weight"), twist))
+        return ManifoldSample(tuple(pts))
     raise ValueError(f"unknown model type {kind!r}")

@@ -123,10 +123,9 @@ class ManifoldPoint:
 
 @dataclass(frozen=True)
 class ManifoldSample:
-    """A finite quadrature on the base manifold; weights sum to total_volume."""
+    """A finite quadrature on the base manifold; its volume is the sum of its weights."""
 
     points: tuple
-    total_volume: float = 1.0
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -140,12 +139,16 @@ class ManifoldSample:
                 raise ValueError("points must be all twisted or all untwisted")
         if len({p.id for p in pts}) != len(pts):
             raise ValueError("point ids must be unique")
-        if not math.isfinite(self.total_volume):
-            raise ValueError("total volume must be finite")
-        w = math.fsum(p.weight for p in pts)
-        if abs(w - self.total_volume) > 1e-9 * max(1.0, abs(self.total_volume)):
-            raise ValueError("weights must sum to the stated total volume")
+        try:
+            math.fsum(p.weight for p in pts)
+        except OverflowError:
+            raise ValueError("total volume must be finite") from None
         object.__setattr__(self, "points", pts)
+
+    @property
+    def total_volume(self) -> float:
+        """The correctly rounded sum of the point weights."""
+        return math.fsum(p.weight for p in self.points)
 
     @property
     def n(self) -> int:

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from jetmorse import cli
@@ -240,6 +239,17 @@ def test_morse_bad_tol_or_k_list_exit2(flag, message, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_morse_fermat_all_degenerate_exit2(tmp_path, capsys):
+    # the degenerate fraction used to read 0.99999999999999989 here, from
+    # weights that sum to 1 only to rounding, so the files were written
+    model = json.dumps({"type": "fermat", "n": 2, "d": 3, "points": 7, "seed": 6})
+    rc = main(["morse", "--model", model, "--k-list", "2", "--samples", "10",
+               "--seed", "1", "--tol", "1e300", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "every sampled form is degenerate" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
 def test_morse_zero_model_kept_at_tol_0(tmp_path, capsys):
     # a zero tensor is degenerate at any tol: at tol 0 the study is written,
     # at a positive tol it exits 2 like a band wider than every eigenvalue
@@ -317,21 +327,6 @@ def test_ci_threshold_k_above_ceiling_exit3_before_output(capsys):
     assert out == "" and err.startswith("resource ceiling:")
 
 
-def test_morse_fermat_zero_mix_exit4(tmp_path, capsys, monkeypatch):
-    import jetmorse.models as models
-
-    monkeypatch.setattr(models, "_projection_gram_dets",
-                        lambda z, frames: np.zeros(z.shape))
-    model = json.dumps({"type": "fermat", "n": 2, "d": 3, "points": 2, "seed": 1})
-    rc = main(["morse", "--model", model, "--k-list", "2", "--samples", "10",
-               "--seed", "1", "--out", str(tmp_path / "x")])
-    err = capsys.readouterr().err
-    assert rc == 4
-    assert "numerical failure" in err and "Gram" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "x.csv").exists()
-
-
 @pytest.mark.parametrize("value", ["0", "-2", "x"])
 def test_morse_bad_workers_flag_exit2(value):
     rc, _, err = _run(["morse", "--model", MODEL, "--k-list", "2",
@@ -401,8 +396,12 @@ def test_morse_mixed_twist_model_exit2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-_EXPLICIT_STRINGS = {"type": "explicit", "points": [
-    {"id": "a", "weight": 1.0, "tensor": {"n": 1, "r": 1, "c": [["1", "0"]]}}]}
+def _explicit(**fields):
+    point = {"id": "a", "weight": 1.0, "tensor": {"n": 1, "r": 1, "c": [[1, 0]]}}
+    return {"type": "explicit", "points": [dict(point, **fields)]}
+
+
+_EXPLICIT_STRINGS = _explicit(tensor={"n": 1, "r": 1, "c": [["1", "0"]]})
 
 
 @pytest.mark.parametrize("model, message", [
@@ -417,12 +416,33 @@ _EXPLICIT_STRINGS = {"type": "explicit", "points": [
     ({"type": "random", "n": 0, "r": 2, "seed": 1},
      "random tensor needs n >= 1 and r >= 1, got n=0, r=2"),
     (_EXPLICIT_STRINGS, "expected a [re, im] pair of numbers, got ['1', '0']"),
-], ids=["n-null", "n-fraction", "seed-bool", "points-string", "n-zero", "c-strings"])
+    ([1], "model must be a JSON object, got list"),
+    ({"type": "random", "n": 2, "r": 2, "seed": 1, "scale": None},
+     "model field 'scale' must be a number, got None"),
+    ({"type": "random", "n": 2, "r": 2, "seed": 1, "scale": True},
+     "model field 'scale' must be a number, got True"),
+    ({"type": "random", "n": 2, "r": 2, "seed": 1, "scale": "2"},
+     "model field 'scale' must be a number, got '2'"),
+    (_explicit(weight=None), "model field 'weight' must be a number, got None"),
+    (_explicit(weight="0.5"), "model field 'weight' must be a number, got '0.5'"),
+    ({"type": "explicit", "points": 5}, "model field 'points' must be a list of objects"),
+    ({"type": "explicit", "points": [1]}, "model field 'points' must be a list of objects"),
+    (_explicit(tensor={"n": 0, "r": 0, "c": []}),
+     "coefficient shape (0, 0, 0, 0) is not (n, n, r, r) with n, r >= 1"),
+], ids=["n-null", "n-fraction", "seed-bool", "points-string", "n-zero", "c-strings",
+        "not-object", "scale-null", "scale-bool", "scale-string", "weight-null",
+        "weight-string", "points-int", "points-not-objects", "tensor-zero-size"])
 def test_morse_malformed_model_field_exit2(model, message, tmp_path, capsys):
-    # a null n and string [re, im] pairs used to raise TypeError (exit 1), n 2.7,
-    # seed true and points "10" ran as 2, 1 and 10, and n 0 failed with
-    # "zero-size array to reduction operation maximum"
-    rc = main(["morse", "--model", json.dumps(model), "--k-list", "2",
+    # a null n, scale or weight, string [re, im] pairs, a document that is not
+    # an object and explicit points that are not a list of objects used to
+    # fail with TypeError or AttributeError (exit 1); n 2.7, seed true,
+    # points "10", scale true or "2" and weight "0.5" ran as 2, 1, 10, 1.0,
+    # 2.0 and 0.5; and n 0 failed with "zero-size array to reduction
+    # operation maximum".  The document is read from a file, since an
+    # inline model must start with "{".
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = main(["morse", "--model", str(path), "--k-list", "2",
                "--samples", "10", "--seed", "1", "--out", str(tmp_path / "x")])
     out, err = capsys.readouterr()
     assert rc == 2

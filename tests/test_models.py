@@ -8,7 +8,8 @@ import pytest
 from jetmorse.curvature import eta, trace_free
 from jetmorse.measures import sample_sphere_batch
 from jetmorse.models import (CompleteIntersectionSpec, SecondFundamentalForm,
-                             _fermat_points, build_sample, ci_threshold,
+                             _fermat_points, _projection_jacobians,
+                             _unit_fermat_points, build_sample, ci_threshold,
                              fermat_sample, fermat_second_fundamental_form,
                              fubini_study_tensor, hypersurface_tensor, random_tensor)
 from jetmorse.rng import stream
@@ -171,6 +172,29 @@ def test_fermat_sample_matches_per_point_reference(n, d):
     for m, p in enumerate(S.points):
         ff = fermat_second_fundamental_form(n, d, z[m])
         assert np.array_equal(hypersurface_tensor(ff, n).c, p.tensor.c)
+
+
+@pytest.mark.parametrize("n, d", [(2, 60), (1, 80), (3, 200)])
+def test_fermat_sample_high_degree_matches_reference(n, d):
+    # smooth hypersurfaces where the gradient norm at some unit points is
+    # below 1e-12, which an absolute "singular point" guard used to refuse.  The
+    # batched and per-point draws round their unit points differently in the
+    # last place, and the tensors (up to 2.5e3 here) move by about d ulps per
+    # ulp of the point, so they are compared relative to their size and d.
+    S = fermat_sample(n, d, 40, 11)
+    tensors, weights = _reference_fermat_sample(n, d, 40, 11)
+    for p, c, w in zip(S.points, tensors, weights):
+        assert float(np.abs(p.tensor.c - c).max()) < 1e-13 * d * float(np.abs(c).max())
+        assert abs(p.weight - w) < 1e-12 * w
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (2, 2), (2, 60), (3, 5), (4, 7), (3, 200)])
+def test_projection_jacobians_rows_at_least_1(n, d):
+    # the |g_j|^2 sum to 1 and no denominator exceeds 1, so every raw
+    # weight 1 / sum_j J_j lies in (0, 1]
+    z = _unit_fermat_points(_fermat_points(n, d, 200, stream(4, "fermat", n, d)), d)
+    rows = _projection_jacobians(z, d).sum(axis=1)
+    assert np.isfinite(rows).all() and rows.min() >= 1 - 1e-12
 
 
 def test_fermat_rank1_trace_free_vanishes():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -35,4 +36,45 @@ def test_no_unused_imports(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used.update(getattr(module, "__all__", ()))
     unused = imported - used - _WRAP_TARGETS.get(name, set())
+    assert unused == set()
+
+
+def _module_private_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    # loads, attributes, imported names and strings (monkeypatch and
+    # bench/tracing.py name their targets as strings)
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_no_unreferenced_private_names():
+    # a module-level private name that nothing in src/, tests/ or bench/
+    # uses is dead code left behind by a refactor
+    root = pathlib.Path(__file__).resolve().parent.parent
+    refs = set()
+    for pattern in ("src/**/*.py", "tests/*.py", "bench/*.py"):
+        for path in root.glob(pattern):
+            refs |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    unused = {f"{path.stem}.{name}" for path in root.glob("src/jetmorse/*.py")
+              for name in _module_private_names(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in refs}
     assert unused == set()
