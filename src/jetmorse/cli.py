@@ -29,7 +29,7 @@ from .jet_combinatorics import (ResourceLimitError, epsilon_ratio, ikrn_asymptot
                                 ikrn_bounds, ikrn_exact, inverse_square_sum)
 from .measures import mean_std_error, sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
-from .morse_mc import _fmt, convergence_study
+from .morse_mc import _DRAW_BLOCK, _fmt, _int_text, convergence_study
 from .rng import stream
 from .wps import WeightSpec, integrate_fiber, volume_closed_form
 
@@ -40,7 +40,7 @@ EXIT_NUMERIC = 4
 
 
 def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
 
 
 def _positive_int(text: str) -> int:
@@ -80,11 +80,19 @@ def cmd_wps_volume(args) -> int:
 
 
 def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
+    """(mean, std error) of (sum_s x_s / s)^n over simplex draws x, drawn in
+    blocks of _DRAW_BLOCK // k samples in stream order."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if k < 1 or r < 1:
+        raise ValueError("k and r must be >= 1")
     rng = stream(seed, "ikrn-mc", k, r, n)
-    x = sample_nu_batch(k, r, samples, rng)
-    return mean_std_error((x @ (1.0 / np.arange(1, k + 1))) ** n)
+    w = 1.0 / np.arange(1, k + 1)
+    block = max(1, _DRAW_BLOCK // k)
+    vals = np.empty(samples)
+    for lo in range(0, samples, block):
+        vals[lo:lo + block] = (sample_nu_batch(k, r, min(block, samples - lo), rng) @ w) ** n
+    return mean_std_error(vals)
 
 
 def cmd_ikrn(args) -> int:
@@ -133,13 +141,16 @@ def cmd_morse(args) -> int:
     if args.tol > 0 and all(r.degenerate_fraction == 1 for r in report.rows):
         raise ValueError(f"every sampled form is degenerate at --tol {args.tol!r} "
                          "(degenerate_fraction 1 at every k); no file written")
+    # both texts are rendered before either file is opened, so that a
+    # failure leaves no partial output
+    csv_text = report.to_csv()
+    json_text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.to_csv())
+        fh.write(csv_text)
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 

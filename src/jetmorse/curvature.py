@@ -188,8 +188,12 @@ def _json_complex(pair) -> complex:
 def tensor_from_json(text: str) -> CurvatureTensor:
     """Inverse of :func:`tensor_to_json`; validates symmetry on load."""
     data = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(data, dict):
+        raise ValueError("model field 'tensor' must be an object")
     n, r = _json_int(data, "n"), _json_int(data, "r")
     pairs = data["c"]
+    if not isinstance(pairs, list):
+        raise ValueError("model field 'c' must be a list of [re, im] pairs")
     if len(pairs) != n * n * r * r:
         raise ValueError("coefficient array has wrong length")
     flat = np.array([_json_complex(pair) for pair in pairs])

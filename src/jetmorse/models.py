@@ -133,7 +133,8 @@ def _fermat_points(n: int, d: int, count: int, rng) -> np.ndarray:
 
     The draws run point by point in stream order (solved coordinate, real
     parts, imaginary parts, branch); the root solve and the assembly run on
-    all points at once.
+    all points at once.  The root is solved on rest / max_j |rest_j| and
+    scaled back, so that no power |rest_j|^d overflows at high degree.
     """
     dim = n + 2
     drops = np.empty(count, dtype=np.intp)
@@ -146,7 +147,9 @@ def _fermat_points(n: int, d: int, count: int, rng) -> np.ndarray:
         rng.standard_normal(out=im[m])
         branches[m] = rng.integers(d)
     rest = re + 1j * im
-    root = (-np.sum(rest**d, axis=1)) ** (1.0 / d) * np.exp(2j * np.pi * branches / d)
+    top = np.abs(rest).max(axis=1)
+    root = (top * (-np.sum((rest / top[:, None]) ** d, axis=1)) ** (1.0 / d)
+            * np.exp(2j * np.pi * branches / d))
     z = np.empty((count, dim), dtype=complex)
     z[np.arange(dim) != drops[:, None]] = rest.ravel()
     z[np.arange(count), drops] = root
@@ -280,10 +283,14 @@ def build_sample(spec: dict) -> ManifoldSample:
             raise ValueError("model field 'points' must be a list of objects")
         for entry in entries:
             tensor = tensor_from_json(entry["tensor"])
+            rows = entry.get("twist")
             twist = None
-            if entry.get("twist") is not None:
+            if rows is not None:
+                if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                    raise ValueError("model field 'twist' must be a list of rows "
+                                     "of [re, im] pairs")
                 twist = HermitianForm(np.array(
-                    [[_json_complex(pair) for pair in row] for row in entry["twist"]]))
+                    [[_json_complex(pair) for pair in row] for row in rows]))
             pts.append(ManifoldPoint(str(entry["id"]), tensor,
                                      _json_float(entry, "weight"), twist))
         return ManifoldSample(tuple(pts))

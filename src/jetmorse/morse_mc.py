@@ -25,10 +25,14 @@ G_k = sum_{s<=k} g_s, the fiber matrix of the sampled form is therefore
 coordinates with a fixed (k_max, 2K) weight matrix gives the weighted sums
 and the traces G_k for all k, and a second product with the tensor, mapped
 to those coordinates, gives all forms.  No gamma draw, no sphere
-normalization and no division by |v_s| is needed.  Products are handed to
-BLAS in blocks small enough to stay on the calling thread, so that BLAS
-threads do not compete with the point pool.  The index of a form with
-n <= 3 is read off its leading principal minors (Sylvester's law of
+normalization and no division by |v_s| is needed.  Each chunk's forms are
+filled from sample blocks of _DRAW_BLOCK // k_max samples (at least one),
+so a worker holds about 2^15 (2r + r^2) 8 bytes of draws and outer-product
+planes (2 MiB at r = 2) for any k_max up to 2^15, next to the chunk's
+(n^2, K, 16384) forms; the statistics still see the whole chunk.  Products
+are handed to BLAS in blocks small enough to stay on the calling thread, so
+that BLAS threads do not compete with the point pool.  The index of a form
+with n <= 3 is read off its leading principal minors (Sylvester's law of
 inertia, Jacobi's sign rule).  A screen with explicit rounding margins
 accepts a row only when |det| proves that no eigenvalue lies in the band
 [-tol, tol]; every other row, and every row for n >= 4, goes to an
@@ -45,16 +49,19 @@ and the screen's margins stay far from overflow and underflow at any
 magnitude of the point.
 
 Determinism: every point gets its own counter-based stream keyed by
-(seed, point id); each chunk is one ``standard_normal((m, k_max, 2r))``
-draw at the largest k of a study, re-used for smaller k (common random
-numbers: for every k the first k of the k_max vectors give an exact
-symmetric Dirichlet(r, ..., r) point x and independent uniform sphere
-vectors).  Aggregation over points follows the sample's point order, so the
+(seed, point id); each chunk's draw is made at the largest k of a study,
+as ``standard_normal((b, k_max, 2r))`` calls over its sample blocks in
+stream order, which give the same normals as one ``(m, k_max, 2r)`` draw,
+and is re-used for smaller k (common random numbers: for every k the first
+k of the k_max vectors give an exact symmetric Dirichlet(r, ..., r) point x
+and independent uniform sphere vectors).  The block size depends only on
+k_max, and aggregation over points follows the sample's point order, so the
 result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -91,6 +98,11 @@ __all__ = [
 # fixed inner-MC chunk so that chunked accumulation (and hence the floating
 # result) does not depend on the total sample count's factorization
 _CHUNK = 16384
+
+# Draw vectors a Monte-Carlo kernel holds at a time: a chunk is drawn in
+# blocks of _DRAW_BLOCK // k samples (at least 1), so that a worker's memory
+# does not grow with k times the sample count.
+_DRAW_BLOCK = 2**15
 
 
 def default_workers() -> int:
@@ -185,6 +197,12 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _int_text(v: int) -> str:
+    """Decimal digits of v, equal to str(v) but free of Python's
+    int-to-str digit limit (4300 digits by default)."""
+    return str(decimal.Decimal(v))
+
+
 @dataclass(frozen=True)
 class MorseReport:
     rows: tuple
@@ -206,8 +224,8 @@ class MorseReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        rows = [dict(asdict(r), full_constant={"num": str(r.full_constant.numerator),
-                                               "den": str(r.full_constant.denominator)})
+        rows = [dict(asdict(r), full_constant={"num": _int_text(r.full_constant.numerator),
+                                               "den": _int_text(r.full_constant.denominator)})
                 for r in self.rows]
         return {"rows": rows}
 
@@ -229,12 +247,11 @@ def _eta_index_integrals(M: ManifoldSample, q_list: Sequence[int], tol: float) -
 
 
 def full_morse_constant(n: int, k: int, r: int) -> tuple[Fraction, float]:
-    """Prefactor (n+kr-1)! / (n! (k!)^r (kr-1)!) as exact rational and natural log."""
+    """Prefactor (n+kr-1)! / (n! (k!)^r (kr-1)!) = C(n+kr-1, n) / (k!)^r as exact
+    rational and natural log."""
     if n < 0 or k < 1 or r < 1:
         raise ValueError("require n >= 0, k >= 1, r >= 1")
-    exact = Fraction(math.factorial(n + k * r - 1),
-                     math.factorial(n) * math.factorial(k) ** r
-                     * math.factorial(k * r - 1))
+    exact = Fraction(math.comb(n + k * r - 1, n), math.factorial(k) ** r)
     log = (math.lgamma(n + k * r) - math.lgamma(n + 1)
            - r * math.lgamma(k + 1) - math.lgamma(k * r))
     return exact, log
@@ -395,6 +412,7 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     parts = [point.tensor.c] + ([] if point.twist is None else [point.twist.entries])
     s = math.frexp(max(np.abs(a).max() for a in parts))[1]
     k_max = max(k_list)
+    block = max(1, _DRAW_BLOCK // k_max)
     rng = stream(seed, "morse", point.id)
     acc = {(k, q): (0, 0.0, 0.0) for k in k_list for q in q_list}
     degen = dict.fromkeys(k_list, 0)
@@ -403,8 +421,10 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
         tol = float(np.ldexp(tol, -s))
         while done < n_samples:
             m = min(_CHUNK, n_samples - done)
-            v = rng.standard_normal((m, k_max, 2 * r)).view(complex)
-            forms = _chunk_forms(point, v, k_list, s)
+            forms = np.empty((n * n, len(k_list), m))
+            for lo in range(0, m, block):
+                v = rng.standard_normal((min(block, m - lo), k_max, 2 * r)).view(complex)
+                forms[:, :, lo:lo + block] = _chunk_forms(point, v, k_list, s)
             for j, k in enumerate(k_list):
                 stats, d = _index_stats(forms[:, j].T, q_list, tol)
                 degen[k] += d

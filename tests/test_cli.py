@@ -3,13 +3,18 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from jetmorse import cli
 from jetmorse.cli import main
 from jetmorse.curvature import tensor_to_json
+from jetmorse.jet_combinatorics import ikrn_exact
 from jetmorse.models import random_tensor
+from jetmorse.morse_mc import full_morse_constant
 
 MODEL = json.dumps({"type": "random", "n": 2, "r": 2, "points": 2,
                     "scale": 1.0, "seed": 9})
@@ -239,6 +244,16 @@ def test_morse_bad_tol_or_k_list_exit2(flag, message, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_morse_fermat_degree_past_float_range(tmp_path, capsys):
+    # used to print numpy RuntimeWarnings and exit 2 with "point weights must
+    # be positive and finite"; a warning fails this suite
+    model = json.dumps({"type": "fermat", "n": 2, "d": 1200, "points": 8, "seed": 1})
+    assert main(["morse", "--model", model, "--k-list", "2", "--samples", "10",
+                 "--seed", "1", "--out", str(tmp_path / "f")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "f.json").exists()
+
+
 def test_morse_fermat_all_degenerate_exit2(tmp_path, capsys):
     # the degenerate fraction used to read 0.99999999999999989 here, from
     # weights that sum to 1 only to rounding, so the files were written
@@ -371,6 +386,41 @@ def test_morse_non_finite_mid_run_exit4(tmp_path):
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("n, r, k", [(2, 3, 1000), (3, 1, 22027)])
+def test_morse_paper_scale_k_writes_both_files(n, r, k, tmp_path):
+    # k = 22027 is e^(5n-5) at n = 3, where the paper's epsilon bound starts.
+    # full_constant's denominator has 7,700 and 86,087 digits: past Python's
+    # int-to-str limit, which used to exit 2 after the CSV was written
+    model = json.dumps({"type": "random", "n": n, "r": r, "points": 1,
+                        "scale": 1.0, "seed": 1})
+    out = tmp_path / "m"
+    assert main(["morse", "--model", model, "--k-list", str(k), "--samples", "16",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == n + 2
+    const = json.loads((tmp_path / "m.json").read_text())["rows"][0]["full_constant"]
+    value = Fraction(int(Decimal(const["num"])), int(Decimal(const["den"])))
+    assert value == full_morse_constant(n, k, r)[0]
+
+
+def test_ikrn_exact_past_int_str_limit(capsys):
+    # the denominator of I(6000, 1, 2) has 5,208 digits
+    assert main(["ikrn", "--k", "6000", "--r", "1", "--n", "2"]) == 0
+    num, den = capsys.readouterr().out.split()[1].split("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == ikrn_exact(6000, 1, 2)
+
+
+def test_ikrn_mc_memory_bounded():
+    # the draw is made in blocks of _DRAW_BLOCK // k samples; one (samples, k)
+    # array took 128 MiB here
+    tracemalloc.start()
+    try:
+        cli._ikrn_mc(4096, 2, 3, 2048, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_memory_error_exit3(monkeypatch, capsys):
     import jetmorse.cli as cli
 
@@ -429,13 +479,19 @@ _EXPLICIT_STRINGS = _explicit(tensor={"n": 1, "r": 1, "c": [["1", "0"]]})
     ({"type": "explicit", "points": [1]}, "model field 'points' must be a list of objects"),
     (_explicit(tensor={"n": 0, "r": 0, "c": []}),
      "coefficient shape (0, 0, 0, 0) is not (n, n, r, r) with n, r >= 1"),
+    (_explicit(tensor=5), "model field 'tensor' must be an object"),
+    (_explicit(tensor={"n": 1, "r": 1, "c": 5}),
+     "model field 'c' must be a list of [re, im] pairs"),
+    (_explicit(twist=5), "model field 'twist' must be a list of rows of [re, im] pairs"),
 ], ids=["n-null", "n-fraction", "seed-bool", "points-string", "n-zero", "c-strings",
         "not-object", "scale-null", "scale-bool", "scale-string", "weight-null",
-        "weight-string", "points-int", "points-not-objects", "tensor-zero-size"])
+        "weight-string", "points-int", "points-not-objects", "tensor-zero-size",
+        "tensor-int", "c-int", "twist-int"])
 def test_morse_malformed_model_field_exit2(model, message, tmp_path, capsys):
     # a null n, scale or weight, string [re, im] pairs, a document that is not
-    # an object and explicit points that are not a list of objects used to
-    # fail with TypeError or AttributeError (exit 1); n 2.7, seed true,
+    # an object, explicit points that are not a list of objects, and a tensor,
+    # c or twist that is a number used to fail with TypeError or
+    # AttributeError (exit 1); n 2.7, seed true,
     # points "10", scale true or "2" and weight "0.5" ran as 2, 1, 10, 1.0,
     # 2.0 and 0.5; and n 0 failed with "zero-size array to reduction
     # operation maximum".  The document is read from a file, since an

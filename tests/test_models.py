@@ -197,6 +197,13 @@ def test_projection_jacobians_rows_at_least_1(n, d):
     assert np.isfinite(rows).all() and rows.min() >= 1 - 1e-12
 
 
+def test_fermat_sample_degree_past_float_range():
+    # |rest_j|^1200 overflows; the root used to come out nan, with numpy
+    # RuntimeWarnings, and the study exited 2 on non-finite weights
+    S = fermat_sample(2, 1200, 8, 1)
+    assert all(0 < p.weight < 1 and np.isfinite(p.tensor.c).all() for p in S.points)
+
+
 def test_fermat_rank1_trace_free_vanishes():
     z = _fermat_point(1, 3, 11)
     t = hypersurface_tensor(fermat_second_fundamental_form(1, 3, z), 1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -211,6 +212,31 @@ def test_index_partition_sums_to_det():
     parts = [reduced_morse_integral(M, k, q, m, 11, 0.0) for q in range(3)]
     det_sum = sum(p[0] for p in parts)
     assert abs(total - det_sum) <= 3 * math.sqrt(var + sum(p[1] ** 2 for p in parts))
+
+
+def test_point_study_memory_bounded():
+    # k 4096 x 256 samples: one (m, k, 2r) draw and its r^2 outer-product
+    # planes took 80 MiB; blocks of _DRAW_BLOCK // k samples hold about 2 MiB
+    point = ManifoldPoint("p", random_tensor(2, 2, 1.0, 1), 1.0)
+    tracemalloc.start()
+    try:
+        morse_mc._point_study(point, [4096], [0, 1, 2], 256, 1, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_draw_blocks_keep_result_bits(monkeypatch):
+    # the morse-random bench shape: one 4096-sample chunk filled from one
+    # block and from four; the blocks draw the same normals in stream order
+    point = ManifoldPoint("p", random_tensor(2, 2, 1.0, 1), 1 / 16)
+    args = ([4, 8, 16, 32], [0, 1, 2], 4096, 1, 1e-9)
+    monkeypatch.setattr(morse_mc, "_DRAW_BLOCK", 32 * 4096)
+    one = morse_mc._point_study(point, *args)
+    monkeypatch.setattr(morse_mc, "_DRAW_BLOCK", 32 * 1024)
+    four = morse_mc._point_study(point, *args)
+    assert four == one
 
 
 def test_worker_count_determinism():
