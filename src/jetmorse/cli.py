@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .jet_combinatorics import (ResourceLimitError, epsilon_ratio, ikrn_asymptotic,
                                 ikrn_bounds, ikrn_exact, inverse_square_sum)
-from .measures import mean_std_error, sample_nu_batch
+from .measures import block_moments, merge_moments, sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
 from .morse_mc import _DRAW_BLOCK, _fmt, _int_text, convergence_study
 from .rng import stream
@@ -80,19 +80,23 @@ def cmd_wps_volume(args) -> int:
 
 
 def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
-    """(mean, std error) of (sum_s x_s / s)^n over simplex draws x, drawn in
-    blocks of _DRAW_BLOCK // k samples in stream order."""
+    """(mean, std error) of (sum_s x_s / s)^n over simplex draws x, drawn and
+    reduced in blocks of _DRAW_BLOCK // k samples in stream order."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
+    if samples < 2:
+        raise ValueError("a standard error needs at least 2 samples")
     rng = stream(seed, "ikrn-mc", k, r, n)
     w = 1.0 / np.arange(1, k + 1)
     block = max(1, _DRAW_BLOCK // k)
-    vals = np.empty(samples)
+    acc = (0, 0.0, 0.0)
     for lo in range(0, samples, block):
-        vals[lo:lo + block] = (sample_nu_batch(k, r, min(block, samples - lo), rng) @ w) ** n
-    return mean_std_error(vals)
+        x = sample_nu_batch(k, r, min(block, samples - lo), rng)
+        acc = merge_moments(acc, block_moments((x @ w) ** n))
+    _, mean, m2 = acc
+    return float(mean), math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
 def cmd_ikrn(args) -> int:

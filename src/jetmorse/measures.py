@@ -10,8 +10,12 @@ Two probability measures are used throughout the curvature statistics:
 
 Moments of both are available in closed form as exact rationals; the samplers
 are exact (normalized Gamma draws, normalized complex Gaussians) so no
-rejection step is needed.  :func:`mean_std_error` is the one mean and
-standard-error reduction of the whole-array Monte-Carlo estimates.
+rejection step is needed.  Every Monte-Carlo estimate is reduced by one pair:
+:func:`block_moments` summarizes a block of samples as (count, mean, M2), and
+:func:`merge_moments` folds the summaries in order (Chan, Golub & LeVeque
+1983), so an estimator holds one block at a time, free of the cancellation a
+sum of squares suffers when the mean dominates; its std error is
+sqrt(M2 / (count - 1) / count).
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ __all__ = [
     "nu_moment",
     "dirichlet_integral",
     "sample_sphere_batch",
-    "mean_std_error",
+    "block_moments",
+    "merge_moments",
 ]
 
 
@@ -82,9 +87,24 @@ def sample_sphere_batch(dim: int, shape: tuple, rng: np.random.Generator) -> np.
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def mean_std_error(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean of a 1-d array and its standard error std(ddof=1)/sqrt(n)."""
-    n = values.size
-    if n < 2:
-        raise ValueError("a standard error needs at least 2 values")
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+def block_moments(values: np.ndarray) -> tuple:
+    """``(count, mean, M2)`` along the last axis of one block, shape (m,), or of
+    q blocks, the rows of a (q, m) array; ``values`` is overwritten.  Rows are
+    reduced by one einsum, a single block by numpy's pairwise sum, so that one
+    block keeps the bits of ``values.std(ddof=1)``."""
+    mean = values.mean(axis=-1)
+    values -= mean[..., None]
+    if values.ndim == 1:
+        return values.size, mean, np.square(values, out=values).sum()
+    return values.shape[-1], mean, np.einsum("qi,qi->q", values, values)
+
+
+def merge_moments(a: tuple, b: tuple) -> tuple:
+    """Chan-Golub-LeVeque merge of two (count, mean, M2) summaries."""
+    na, ma, sa = a
+    nb, mb, sb = b
+    if not na:
+        return b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n)

@@ -38,8 +38,8 @@ accepts a row only when |det| proves that no eigenvalue lies in the band
 [-tol, tol]; every other row, and every row for n >= 4, goes to an
 eigensolve, so the band and the degenerate fraction are exactly those of
 the eigenvalues.  Per-chunk (count, mean, M2) summaries are merged with
-the Chan-Golub-LeVeque update, which keeps the variance free of the
-cancellation a sum of squares suffers when the mean dominates.  Each point
+``measures``' Chan-Golub-LeVeque update, which keeps the variance free of
+the cancellation a sum of squares suffers when the mean dominates.  Each point
 is studied in one power-of-two frame: its forms and the band are scaled by
 2^-s, with 2^s just above its largest coefficient, and its mean and std
 error are scaled back by 2^ns.  Scaling by a power of two is exact and
@@ -76,6 +76,7 @@ from .curvature import CurvatureTensor, _apply_tensor, _matmul, _outer_coords, e
 from .hermitian import (HermitianForm, _check_tol, _herm_coords, _herm_matrices,
                         signed_index_det)
 from .jet_combinatorics import harmonic, ikrn_exact
+from .measures import block_moments, merge_moments
 from .rng import stream
 
 # g_k_batch and sample_sphere_batch are not called here: bench/tracing.py
@@ -381,20 +382,8 @@ def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
         minus[rest] = neg
         ok[rest] = neg + np.sum(lam > tol, axis=1) == n
     minus[~ok] = -1
-    vals = np.where(minus == np.array(q_list)[:, None], det, 0.0)
-    mean = vals.mean(axis=1)
-    vals -= mean[:, None]
-    m2 = np.einsum("qi,qi->q", vals, vals)
+    _, mean, m2 = block_moments(np.where(minus == np.array(q_list)[:, None], det, 0.0))
     return list(zip(mean.tolist(), m2.tolist())), m - int(np.count_nonzero(ok))
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    """Chan-Golub-LeVeque merge of two (count, mean, M2) summaries."""
-    na, ma, sa = a
-    nb, mb, sb = b
-    n = na + nb
-    d = mb - ma
-    return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n)
 
 
 def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
@@ -429,7 +418,7 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
                 stats, d = _index_stats(forms[:, j].T, q_list, tol)
                 degen[k] += d
                 for q, (mean, m2) in zip(q_list, stats):
-                    acc[(k, q)] = _merge(acc[(k, q)], (m, mean, m2))
+                    acc[(k, q)] = merge_moments(acc[(k, q)], (m, mean, m2))
             done += m
         out = {key: tuple(np.ldexp([mean, math.sqrt(m2 / (n_samples - 1) / n_samples)],
                                    n * s).tolist())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetmorse.measures import (dirichlet_integral, mean_std_error, nu_moment,
+from jetmorse.measures import (block_moments, dirichlet_integral, merge_moments, nu_moment,
                                sample_nu_batch, sample_sphere_batch)
 from jetmorse.rng import stream
 
@@ -75,15 +75,27 @@ def test_sample_nu_batch_rejects_bad_orders(k, r):
         sample_nu_batch(k, r, 10, stream(1, "bad"))
 
 
-def test_mean_std_error_matches_numpy():
-    vals = stream(3, "mse").standard_normal(1001) + 5.0
-    mean, se = mean_std_error(vals)
-    assert mean == float(vals.mean())
-    assert se == float(vals.std(ddof=1) / math.sqrt(vals.size))
-    assert mean_std_error(np.array([1.0, 3.0])) == (2.0, 1.0)
+@pytest.mark.parametrize("sizes", [[1001], [1, 1000], [4096, 4096, 17], [3, 1, 500, 2, 777]])
+def test_moments_merge_matches_numpy(sizes):
+    # ragged blocks, merged as single blocks and as the rows of (2, m) blocks
+    vals = stream(3, "mse").standard_normal((2, sum(sizes)))
+    vals *= [[1.0], [0.5]]
+    vals += [[5.0], [-3.0]]
+    single = rows = (0, 0.0, 0.0)
+    for block in np.split(vals, np.cumsum(sizes)[:-1], axis=1):
+        single = merge_moments(single, block_moments(block[0].copy()))
+        rows = merge_moments(rows, block_moments(block.copy()))
+    n = vals.shape[1]
+    assert single[0] == rows[0] == n
+    for mean, m2, want in [(single[1], single[2], vals[0]),
+                           (rows[1][0], rows[2][0], vals[0]),
+                           (rows[1][1], rows[2][1], vals[1])]:
+        assert math.isclose(mean, want.mean(), rel_tol=1e-14)
+        assert math.isclose(math.sqrt(m2 / (n - 1)), want.std(ddof=1), rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("n", [0, 1])
-def test_mean_std_error_needs_two_values(n):
-    with pytest.raises(ValueError, match="at least 2"):
-        mean_std_error(np.ones(n))
+def test_one_block_keeps_numpy_bits():
+    vals = stream(4, "mse").standard_normal(3000) + 5.0
+    count, mean, m2 = merge_moments((0, 0.0, 0.0), block_moments(vals.copy()))
+    assert (count, mean) == (3000, vals.mean())
+    assert math.sqrt(m2 / (count - 1)) == vals.std(ddof=1)

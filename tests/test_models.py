@@ -217,6 +217,26 @@ def test_random_tensor_properties():
     assert not np.any(random_tensor(2, 3, 0.0, 5).c)
 
 
+def test_random_models_share_no_tensor_across_seeds():
+    # point m used to take seed + m, so seeds 1 and 2 shared 15 of 16 tensors
+    spec = {"type": "random", "n": 2, "r": 2, "points": 16, "scale": 1.0}
+    a, b = (build_sample(dict(spec, seed=seed)) for seed in (1, 2))
+    assert not any(np.array_equal(p.tensor.c, q.tensor.c) for p in a.points for q in b.points)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (1, 5), (2, 6), (2, 8)])
+def test_fermat_chern_number(n, d):
+    # eta is the curvature of K_X = O(d - n - 2), with O(1) of identity form,
+    # so by adjunction the uniform average of det eta over X is (d - n - 2)^n;
+    # checks the importance weights, the sign and the scale of eta together
+    M = fermat_sample(n, d, 20000, 1)
+    w = np.array([p.weight for p in M.points])
+    y = np.linalg.det(np.array([eta(p.tensor).entries for p in M.points])).real
+    mean = w @ y
+    se = math.sqrt(np.sum(w**2 * (y - mean) ** 2))  # self-normalized importance sampling
+    assert abs(mean - (d - n - 2) ** n) <= 4 * se
+
+
 def test_ci_threshold_example():
     spec = CompleteIntersectionSpec(2, 1, (15,), Fraction(1))
     assert ci_threshold(spec) == pytest.approx(106.874, abs=5e-3)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,21 @@ def test_integrate_fiber_nonfinite_raises():
     with pytest.raises(FiberEvaluationError) as err:
         integrate_fiber(w, lambda z: float("nan"), 100, 5)
     assert err.value.sample_index == 0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fiber_needs_two_samples(n):
+    # the std error divides M2 by n - 1
+    with pytest.raises(ValueError, match=">= 2"):
+        integrate_fiber(WeightSpec((1, 2), (1, 1)), lambda z: 1.0, n, 1)
+
+
+def test_huge_constant_integrand_has_zero_std_error():
+    # with every multiplicity 1 the weight is 1, so every value is 2^600 and
+    # every deviation 0; merging the first block into the empty summary must
+    # not square its mean, which overflows (inf * 0 would make M2 NaN)
+    w = WeightSpec((1, 2), (1, 1))
+    assert integrate_fiber(w, lambda z: 2.0**600, 5000, 1) == (2.0**599, 0.0)
 
 
 def _loop_points(w, n_samples, seed, limit):
@@ -178,13 +194,44 @@ def test_nonfinite_reports_first_index_and_point(limit):
     with pytest.raises(FiberEvaluationError) as err:
         _integrate(w, nan_at_37_and_80(calls), 200, 6, limit)
     assert err.value.sample_index == 37
-    assert len(calls) == 200  # the whole pass runs before the check
+    assert len(calls) == 200  # the whole block runs before the check
     with pytest.raises(FiberEvaluationError) as want:
         _loop_oracle(w, nan_at_37_and_80([]), 200, 6, limit)
     assert want.value.sample_index == 37
     assert len(err.value.point) == w.k
     for got_s, want_s in zip(err.value.point, want.value.point):
         np.testing.assert_allclose(got_s, want_s, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("limit", [False, True])
+def test_nonfinite_in_a_later_block_reports_global_index(limit):
+    # samples run in blocks of 4096: the NaN sits in the second block, and
+    # the third block is never evaluated
+    w = WeightSpec((1, 2, 3), (2, 1, 1))
+    calls = []
+
+    def f(z):
+        calls.append(None)
+        return math.nan if len(calls) == 5001 else 1.0
+
+    with pytest.raises(FiberEvaluationError) as err:
+        _integrate(w, f, 20000, 6, limit)
+    assert err.value.sample_index == 5000
+    assert len(calls) == 8192
+
+
+@pytest.mark.parametrize("limit", [False, True])
+def test_fiber_memory_bounded(limit):
+    # every sample used to be held at once: a 35.9 MiB peak at 200,000
+    # samples for the finite-p fiber, 19.0 MiB for the limit
+    w = WeightSpec((1, 2, 3), (2, 1, 1))
+    tracemalloc.start()
+    try:
+        _integrate(w, lambda z: 1.0, 200000, 1, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @st.composite
