@@ -90,8 +90,8 @@ def sample_sphere_batch(dim: int, shape: tuple, rng: np.random.Generator) -> np.
 def block_moments(values: np.ndarray) -> tuple:
     """``(count, mean, M2)`` along the last axis of one block, shape (m,), or of
     q blocks, the rows of a (q, m) array; ``values`` is overwritten.  Rows are
-    reduced by one einsum, a single block by numpy's pairwise sum, so that one
-    block keeps the bits of ``values.std(ddof=1)``."""
+    reduced by one einsum, as the morse kernel always was, and a single block
+    by numpy's pairwise sum, as ``values.std(ddof=1)`` is, so both keep their bits."""
     mean = values.mean(axis=-1)
     values -= mean[..., None]
     if values.ndim == 1:
@@ -100,7 +100,8 @@ def block_moments(values: np.ndarray) -> tuple:
 
 
 def merge_moments(a: tuple, b: tuple) -> tuple:
-    """Chan-Golub-LeVeque merge of two (count, mean, M2) summaries."""
+    """Chan-Golub-LeVeque merge of two (count, mean, M2) summaries; an empty
+    ``a`` gives ``b`` as is, so a first mean past 1e154 is never squared."""
     na, ma, sa = a
     nb, mb, sb = b
     if not na:
