@@ -31,22 +31,23 @@ so a worker holds about 2^15 (2r + r^2) 8 bytes of draws and outer-product
 planes (2 MiB at r = 2) for any k_max up to 2^15, next to the chunk's
 (n^2, K, 16384) forms; the statistics still see the whole chunk.  Products
 are handed to BLAS in blocks small enough to stay on the calling thread, so
-that BLAS threads do not compete with the point pool.  The index of a form
-with n <= 3 is read off its leading principal minors (Sylvester's law of
-inertia, Jacobi's sign rule).  A screen with explicit rounding margins
-accepts a row only when |det| proves that no eigenvalue lies in the band
-[-tol, tol]; every other row, and every row for n >= 4, goes to an
-eigensolve, so the band and the degenerate fraction are exactly those of
-the eigenvalues.  Per-chunk (count, mean, M2) summaries are merged with
-``measures``' Chan-Golub-LeVeque update, which keeps the variance free of
-the cancellation a sum of squares suffers when the mean dominates.  Each point
-is studied in one power-of-two frame: its forms and the band are scaled by
-2^-s, with 2^s just above its largest coefficient, and its mean and std
-error are scaled back by 2^ns.  Scaling by a power of two is exact and
-1_{index q} det is homogeneous of degree n, so the frame changes no result
-that stays inside the float range, while the determinants, their squares
-and the screen's margins stay far from overflow and underflow at any
-magnitude of the point.
+that BLAS threads do not compete with the point pool.  The index of a form,
+at every n, is the number of negative pivots of its LDL* factorization
+without pivoting (Sylvester's law of inertia, Jacobi's rule), taken in one
+batched pass over the real coordinates.  A screen accepts the pivots only
+when their product, the factorization's backward error (Higham) and Weyl's
+inequality prove that no eigenvalue lies in the band [-tol, tol]; every
+other row goes to an eigensolve, so the band and the degenerate fraction
+are exactly those of the eigenvalues.  Per-chunk (count, mean, M2)
+summaries are merged with ``measures``' Chan-Golub-LeVeque update, which
+keeps the variance free of the cancellation a sum of squares suffers when
+the mean dominates.  Each point is studied in one power-of-two frame: its
+forms and the band are scaled by 2^-s, with 2^s just above its largest
+coefficient, and its mean and std error are scaled back by 2^ns.  Scaling
+by a power of two is exact and 1_{index q} det is homogeneous of degree n,
+so the frame changes no result that stays inside the float range, while
+the determinants, their squares and the screen's margins stay far from
+overflow and underflow at any magnitude of the point.
 
 Determinism: every point gets its own counter-based stream keyed by
 (seed, point id); each chunk's draw is made at the largest k of a study,
@@ -258,11 +259,10 @@ def full_morse_constant(n: int, k: int, r: int) -> tuple[Fraction, float]:
     return exact, log
 
 
-# Rounding margin of the inertia screen, relative to the magnitudes involved:
-# a generous multiple of the unit roundoff that covers the closed-form minors,
-# the computed Frobenius norm and the backward error of an eigensolve of the
-# same n <= 3 form.
-_SCREEN_EPS = 64 * np.finfo(float).eps
+# Margin of the inertia screen per unit of (n+2)^2 B (see _index_stats): 2^10
+# times a bound on the LDL* backward error, which leaves room for an
+# eigensolve's own error and bounds the determinant's relative error.
+_SCREEN_EPS = 2**10 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=64)
@@ -309,71 +309,71 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray, k_list: Sequence[int],
     return forms
 
 
-def _leading_minors(f: np.ndarray, n: int) -> tuple:
-    """Leading principal minors D_1..D_n (n <= 3) of forms in coordinates (n*n, m).
-
-    Returns two (n, m) arrays: the minors, and the sums of the absolute
-    values of their terms, which bound their rounding errors.
-    """
-    d = np.empty((n, f.shape[1]))
-    s = np.empty_like(d)
-    a = f[0]
-    d[0] = a
-    np.abs(a, out=s[0])
-    if n == 1:
-        return d, s
-    ab = a * f[1]
-    # |f_12|^2, and for n = 3 also |f_13|^2 and |f_23|^2
-    p = f[n:n + n * (n - 1) // 2] ** 2
-    p += f[n + n * (n - 1) // 2:] ** 2
-    np.subtract(ab, p[0], out=d[1])
-    np.abs(ab, out=s[1])
-    s[1] += p[0]
-    if n == 2:
-        return d, s
-    x12, x13, x23, y12, y13, y23 = f[3:]
-    # Re(f12 f23 conj(f13))
-    cyc = (x12 * x23 - y12 * y23) * x13 + (x12 * y23 + y12 * x23) * y13
-    abc = ab * f[2]
-    # a |f23|^2, b |f13|^2, c |f12|^2
-    dp = f[:3] * p[::-1]
-    np.subtract(abc + 2 * cyc, dp.sum(axis=0), out=d[2])
-    np.abs(abc, out=s[2])
-    s[2] += 2 * np.sqrt(p.prod(axis=0))
-    s[2] += np.abs(dp, out=dp).sum(axis=0)
-    return d, s
-
-
 def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
     """Per-q (mean, M2) of 1_{index q} det over a chunk of forms, and the degenerate count.
 
     ``forms`` has shape (m, n*n): coordinates of m sampled forms (see
     :func:`_herm_coords`); M2 is the sum of squared deviations from the mean.
-    For n <= 3 the inertia comes from the leading principal minors by
-    Jacobi's rule.  A row is decided that way only when it provably has no
-    eigenvalue in [-tol, tol]: |det| <= |lambda_min| ||A||_F^(n-1), so
-    |det| > tol ||A||_F^(n-1) plus rounding margins suffices, and the
-    intermediate minors must be clear of zero.  Every other row, and every
-    row for n >= 4, goes to an eigensolve, so the tolerance band and the
-    degenerate count are those of the eigenvalues.
+    Each row A is factored U* D U (LDL* without pivoting, U unit upper
+    triangular, pivots d_j) in these coordinates, and the same pass sums
+    B = sum_j |d_j| (1 + sum_{k>j} |U_jk|^2) >= || |U*| |D| |U| ||_F.  With
+    beta = _SCREEN_EPS (n+2)^2 B, the pivots decide a row only when
+
+        |d_1 ... d_n| (1 - 2n eps) > (tol + beta) (||A||_F + beta)^(n-1).
+
+    1. Backward error (Higham, Accuracy and Stability of Numerical
+       Algorithms, ch. 3 and 9): each update S_ik -= conj(S_ji) S_jk / d_j
+       rounds within gamma_3 |S_ji| |S_jk| / |d_j| per real part (gamma_k =
+       k u / (1 - k u), u = eps / 2), so the d_j are the exact pivots of
+       A + E, |E| <= sqrt(2) gamma_(n+2) |U*| |D| |U|.  beta / 2^10 =
+       (n+2)^2 eps B bounds ||E||_2 and the rounding of B and of ||A||_F;
+       1 - 2n eps covers that of the product and of the right side.
+    2. |det(A + E)| <= |lambda|_min(A + E) (||A||_F + beta)^(n-1), so every
+       eigenvalue of A + E has modulus above tol + beta.
+    3. Weyl: those of A lie within beta / 2^10 of them, so none is within
+       1023 backward errors of [-tol, tol]: room for an eigensolve's own.
+    4. Sylvester, Jacobi: none crosses 0 between A and A + E = U* D U, so the
+       index is the number of negative pivots.
+    5. |det A - d_1 ... d_n| <= n 2^-10 |d_1 ... d_n|, so a large growth B
+       (a tiny pivot beside O(1) entries) sends the row to the eigensolve.
+
+    A zero or NaN pivot fails the comparison through inf or NaN.  Rows that
+    fail go to an eigensolve, whose eigenvalues set their band and index.
     """
     m, n = forms.shape[0], math.isqrt(forms.shape[1])
     f = forms.T
-    if n <= 3:
-        d, s = _leading_minors(f, n)
+    p = n * (n - 1) // 2
+    # the pivots, then one term |S_jk|^2 / d_j per upper entry: B sums their moduli
+    terms = np.empty((n + p, m))
+    d = terms[:n]
+    d[...] = f[:n]
+    xy = f[n:].copy()
+    x, y = xy[:p], xy[p:]
+    # row i of the upper triangle, row-major, in x, y and terms[n:]
+    rows = [slice(i * (2 * n - i - 1) // 2, (i + 1) * (2 * n - i - 2) // 2) for i in range(n)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(n - 1):
+            xr, yr = x[rows[j]], y[rows[j]]
+            wx, wy = xr / d[j], yr / d[j]
+            t = np.multiply(xr, wx, out=terms[n:][rows[j]])
+            t += yr * wy
+            d[j + 1:] -= t
+            # the trailing rows j + i: S_ik -= conj(S_ji) S_jk / d_j
+            for i in range(1, n - 1 - j):
+                x[rows[j + i]] -= xr[i - 1] * wx[i:] + yr[i - 1] * wy[i:]
+                y[rows[j + i]] -= xr[i - 1] * wy[i:] - yr[i - 1] * wx[i:]
+        det = d.prod(axis=0)
+        minus = (d < 0).sum(axis=0, dtype=np.int8)
+        beta = np.abs(terms, out=terms).sum(axis=0)
+        beta *= _SCREEN_EPS * (n + 2) ** 2
         sq = f * f
-        fro = np.sqrt(sq[:n].sum(axis=0) + 2 * sq[n:].sum(axis=0))
-        det = d[-1]
-        ok = np.abs(det) > ((tol + _SCREEN_EPS * fro) * fro ** (n - 1)
-                            * (1 + _SCREEN_EPS) + _SCREEN_EPS * s[-1])
-        ok &= (np.abs(d[:-1]) > _SCREEN_EPS * s[:-1]).all(axis=0)
-        # Jacobi: the index is the number of sign changes in 1, D_1, ..., D_n
-        neg = d < 0
-        minus = neg[0] + (neg[1:] != neg[:-1]).sum(axis=0)
-    else:
-        det = np.zeros(m)
-        minus = np.zeros(m, dtype=np.int64)
-        ok = np.zeros(m, dtype=bool)
+        sq[n:] *= 2
+        fro = np.sqrt(sq.sum(axis=0))
+        fro += beta
+        bound = tol + beta
+        for _ in range(n - 1):
+            bound *= fro
+        ok = np.abs(det) * (1 - 2 * n * np.finfo(float).eps) > bound
     rest = np.flatnonzero(~ok)
     if rest.size:
         lam = np.linalg.eigvalsh(_herm_matrices(forms[rest], n))

@@ -155,7 +155,7 @@ TWISTED = json.dumps({"type": "explicit", "points": [
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("model, digest", [
     (MODEL, "a83a5fad75cb2d7727575ae75007245d"),
-    (TWISTED, "60a0c11c4245139f7778475b3c565739"),
+    (TWISTED, "05396a42ebe4ae9a1fa456eab01b3135"),
 ])
 def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
     out = str(tmp_path / "m")

@@ -8,7 +8,7 @@ import pytest
 
 from jetmorse import morse_mc
 from jetmorse.curvature import CurvatureTensor, g_k_batch, trace_free
-from jetmorse.hermitian import HermitianForm
+from jetmorse.hermitian import HermitianForm, _herm_matrices
 from jetmorse.jet_combinatorics import harmonic, ikrn_exact
 from jetmorse.models import build_sample, fubini_study_tensor, random_tensor
 from jetmorse.morse_mc import (ManifoldPoint, ManifoldSample, MorseReport,
@@ -131,43 +131,46 @@ def test_std_error_past_float_range_raises(ses, monkeypatch):
         reduced_morse_integral(M, 2, 0, 100, 1, 1e-9, workers=1)
 
 
-def _overflow_sample(kind, scale):
+def _overflow_sample(kind, scale, n=3):
     if kind == "random":
-        return build_sample({"type": "random", "n": 3, "r": 2, "points": 4,
+        return build_sample({"type": "random", "n": n, "r": 2, "points": 4,
                              "scale": scale, "seed": 3})
     # the twist scales with the tensor, so the renormalized forms scale too
     return ManifoldSample(tuple(
-        ManifoldPoint(f"p{m}", random_tensor(3, 2, scale, 20 + m), 0.5,
-                      HermitianForm(scale * np.diag([1.0, -0.5, 2.0 + m])))
+        ManifoldPoint(f"p{m}", random_tensor(n, 2, scale, 20 + m), 0.5,
+                      HermitianForm(scale * np.diag([1.0, -0.5, 2.0 + m, 0.75][:n])))
         for m in range(2)))
 
 
-@pytest.mark.parametrize("kind, workers", [("random", 1), ("random", 2), ("twisted", 1)])
-def test_std_error_scales_past_square_overflow(kind, workers):
-    # 1_{index q} det is homogeneous of degree n = 3, so scaling the model by
-    # 2^j scales every estimate and std error by exactly 2^3j: at j = 176
+@pytest.mark.parametrize("kind, workers, n", [
+    pytest.param("random", 1, 3, id="random-1"), pytest.param("random", 2, 3, id="random-2"),
+    pytest.param("twisted", 1, 3, id="twisted-1"), ("random", 1, 4), ("twisted", 1, 4)])
+def test_std_error_scales_past_square_overflow(kind, workers, n):
+    # 1_{index q} det is homogeneous of degree n, so scaling the model by
+    # 2^j scales every estimate and std error by exactly 2^nj: at j = 176
     # past the point (about 1e154) where squared deviations overflow, at
     # j = -200 past the point where they underflow
     def study(scale):
-        return convergence_study(_overflow_sample(kind, scale), [2, 4], range(4),
+        return convergence_study(_overflow_sample(kind, scale, n), [2, 4], range(n + 1),
                                  200, 1, 0.0, workers=workers).rows
 
     base = study(1.0)
     for j in (176, -200):
         rows = study(2.0**j)
         for a, b in zip(base, rows):
-            assert b.reduced_estimate == math.ldexp(a.reduced_estimate, 3 * j)
-            assert b.std_error == math.ldexp(a.std_error, 3 * j)
+            assert b.reduced_estimate == math.ldexp(a.reduced_estimate, n * j)
+            assert b.std_error == math.ldexp(a.std_error, n * j)
         if j > 0:
             assert max(r.std_error for r in rows) > 1e154
     assert all(r.std_error > 0 for r in base if r.reduced_estimate != 0)
 
 
-def test_screen_rows_independent_of_scale(monkeypatch):
+@pytest.mark.parametrize("n", [3, 4])
+def test_screen_rows_independent_of_scale(n, monkeypatch):
     # forms in the point's power-of-two frame keep the inertia screen's
     # margins finite, so at scale 2^176 (with the band scaled alike) the
     # eigensolve gets the same rows as at scale 1, and not every row, as
-    # when the margins overflow
+    # when the margins overflow; n = 4 takes the same screen as n = 3
     eigvalsh = np.linalg.eigvalsh
     sent = []
 
@@ -180,7 +183,7 @@ def test_screen_rows_independent_of_scale(monkeypatch):
     rows = []
     for scale in (1.0, 2.0**176):
         sent.clear()
-        convergence_study(_overflow_sample("random", scale), [2, 4], range(4),
+        convergence_study(_overflow_sample("random", scale, n), [2, 4], range(n + 1),
                           2000, 1, 1e-3 * scale, workers=1)
         rows.append(np.concatenate(sent))
     assert 0 < len(rows[0]) < 4 * 2 * 2000 // 10
@@ -328,6 +331,17 @@ def test_twisted_study_deviation_uses_direct_scale():
     assert devs[512] < devs[16]
 
 
+def _reference_stats(lam, q_list, tol):
+    """Per-q sums of 1_{index q} det and the degenerate count, from eigenvalues."""
+    n = lam.shape[1]
+    plus = np.sum(lam > tol, axis=1)
+    minus = np.sum(lam < -tol, axis=1)
+    det = np.prod(lam, axis=1)
+    sums = [float(np.where((minus == q) & (plus == n - q), det, 0.0).sum())
+            for q in q_list]
+    return sums, int(np.sum(plus + minus < n))
+
+
 def _reference_chunk(point, g, u, k_list, q_list, tol):
     """Per k: per-q sums of 1_{index q} det, the degenerate count, and the
     median smallest |eigenvalue|, all via g_k_batch and eigvalsh."""
@@ -340,17 +354,19 @@ def _reference_chunk(point, g, u, k_list, q_list, tol):
             factor = k * t.r / float(harmonic(k))
             forms = factor * forms + point.twist.entries
         lam = np.linalg.eigvalsh(forms)
-        plus = np.sum(lam > tol, axis=1)
-        minus = np.sum(lam < -tol, axis=1)
-        det = np.prod(lam, axis=1)
-        sums = [float(np.where((minus == q) & (plus == t.n - q), det, 0.0).sum())
-                for q in q_list]
-        out[k] = (sums, int(np.sum(plus + minus < t.n)),
+        out[k] = (*_reference_stats(lam, q_list, tol),
                   float(np.median(np.abs(lam).min(axis=1))))
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _assert_matches(stats, degen, sums, want_degen, m):
+    assert degen == want_degen
+    for (mean, m2), ref in zip(stats, sums):
+        assert mean * m == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert m2 >= 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_fused_kernel_matches_reference(n, r, twisted):
@@ -370,15 +386,21 @@ def test_fused_kernel_matches_reference(n, r, twisted):
     # a band holding half the smallest eigenvalues at k=3 forces the
     # screen to hand rows to the eigensolve
     loose_tol = strict[3][2]
+    # elimination without pivoting at its most fragile: a leading entry of
+    # 1e-13 (even rows) or exactly 0 (odd rows) next to O(1) off-diagonal
+    # terms, where the pivots' determinant would be inaccurate or undefined
+    edge = forms[:, 1].copy()
+    edge[0, ::2] = 1e-13
+    edge[0, 1::2] = 0.0
+    edge_lam = np.linalg.eigvalsh(_herm_matrices(edge.T, n))
     for tol in (1e-9, loose_tol):
         want = _reference_chunk(point, g, u, k_list, q_list, tol)
         for j, k in enumerate(k_list):
-            stats, degen = morse_mc._index_stats(forms[:, j].T, q_list, tol)
             sums, want_degen, _ = want[k]
-            assert degen == want_degen
-            for (mean, m2), ref in zip(stats, sums):
-                assert mean * m == pytest.approx(ref, rel=1e-12, abs=0.0)
-                assert m2 >= 0.0
+            _assert_matches(*morse_mc._index_stats(forms[:, j].T, q_list, tol),
+                            sums, want_degen, m)
+        _assert_matches(*morse_mc._index_stats(edge.T, q_list, tol),
+                        *_reference_stats(edge_lam, q_list, tol), m)
     assert want[3][1] > 0
 
 
