@@ -64,6 +64,13 @@ def _ints(text: str, flag: str) -> list:
     return [_int(v, flag) for v in text.split(",") if v.strip()]
 
 
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} expects a rational such as 1 or 3/2, got {text!r}") from None
+
+
 def cmd_wps_volume(args) -> int:
     w = WeightSpec(tuple(_ints(args.weights, "--weights")),
                    tuple(_ints(args.mults, "--mults")), p=args.p)
@@ -162,7 +169,7 @@ def cmd_morse(args) -> int:
 def cmd_ci_threshold(args) -> int:
     spec = CompleteIntersectionSpec(n=args.n, s=args.s,
                                     degrees=tuple(_ints(args.degrees, "--degrees")),
-                                    a=Fraction(args.a))
+                                    a=_rational(args.a, "--a"))
     if args.k is not None and args.k < 2:
         raise ValueError("--k must be >= 2")
     ln_k = ci_threshold(spec)
@@ -254,7 +261,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -158,10 +158,18 @@ def tensor_to_json(t: CurvatureTensor) -> str:
     return json.dumps({"n": t.n, "r": t.r, "c": pairs})
 
 
+def _json_field(data: dict, key: str):
+    """``data[key]``; raises ValueError naming ``key`` when it is absent."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"model field {key!r} is missing") from None
+
+
 def _json_int(data: dict, key: str, default: int | None = None) -> int:
     """``data[key]`` (or ``default`` when absent) as an int; raises ValueError
-    naming ``key`` for null, bool, non-numeric or non-integral values."""
-    value = data[key] if default is None else data.get(key, default)
+    naming ``key`` for a missing, null, bool, non-numeric or non-integral value."""
+    value = _json_field(data, key) if default is None else data.get(key, default)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"model field {key!r} must be an integer, got {value!r}")
@@ -170,8 +178,8 @@ def _json_int(data: dict, key: str, default: int | None = None) -> int:
 
 def _json_float(data: dict, key: str, default: float | None = None) -> float:
     """``data[key]`` (or ``default`` when absent) as a float; raises ValueError
-    naming ``key`` for null, bool or non-numeric values."""
-    value = data[key] if default is None else data.get(key, default)
+    naming ``key`` for a missing, null, bool or non-numeric value."""
+    value = _json_field(data, key) if default is None else data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"model field {key!r} must be a number, got {value!r}")
     return float(value)
@@ -191,7 +199,7 @@ def tensor_from_json(text: str) -> CurvatureTensor:
     if not isinstance(data, dict):
         raise ValueError("model field 'tensor' must be an object")
     n, r = _json_int(data, "n"), _json_int(data, "r")
-    pairs = data["c"]
+    pairs = _json_field(data, "c")
     if not isinstance(pairs, list):
         raise ValueError("model field 'c' must be a list of [re, im] pairs")
     if len(pairs) != n * n * r * r:

@@ -1,4 +1,4 @@
-"""Hermitian-form calculus: eigenvalues, signed index determinants, norms.
+"""Hermitian-form calculus: eigenvalues, index determinants, norms.
 
 A :class:`HermitianForm` stores the coefficient matrix A of a sesquilinear
 form  Q(v) = sum_{a,b} A[a,b] v_a conj(v_b).  With the hermitian symmetry
@@ -11,15 +11,16 @@ One validator, shared with ``curvature.CurvatureTensor``, admits finite input
 hermitian to ``_SYM_TOL`` and stores the exact mean 0.5 a + 0.5 a*.
 
 It also owns the real coordinates of hermitian matrices (:func:`_herm_coords`,
-inverse :func:`_herm_matrices`) that ``curvature`` and ``morse_mc`` share.
+inverse :func:`_herm_matrices`) that ``curvature`` and ``morse_mc`` share, and
+the index and determinant of stacked spectra (:func:`_index_dets`).
 
 Each form eigensolves once and keeps its spectrum twice: the read-only
 ndarray :attr:`HermitianForm.spectrum`, and a tuple of Python floats that
-:func:`signed_index_det`, :func:`operator_norm` and
-:func:`det_diff_bound_holds` read.  A form has few eigenvalues, so counting
-signs in a Python loop, ``math.prod`` (bit-equal to ``np.prod`` at these
-sizes) and the norm read off the two ends of the ascending spectrum cost a
-fraction of the numpy calls they replace.
+serves only :func:`operator_norm` and :func:`det_diff_bound_holds`.  A form
+has few eigenvalues, so counting signs in a Python loop, ``math.prod``
+(bit-equal to ``np.prod`` at these sizes) and the norm read off the two
+ends of the ascending spectrum cost a fraction of the numpy calls they
+replace in the lemma's one-pair checks.
 :func:`det_diff_bound_holds` eigensolves A - B directly, without building a
 form for it, and only when the lemma's left side is nonzero or the slack
 negative: with ``lhs == 0`` and ``slack >= 0`` the bound holds for every
@@ -38,7 +39,6 @@ import numpy as np
 __all__ = [
     "HermitianForm",
     "eigenvalues",
-    "signed_index_det",
     "det_diff_bound_holds",
     "sphere_second_moment",
     "operator_norm",
@@ -163,26 +163,22 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be >= 0 and finite")
 
 
-def signed_index_det(a: HermitianForm, q: int, tol: float) -> float:
-    """det(A) if the signature is exactly (dim-q, q) with no nullity, else 0."""
-    _check_tol(tol)
-    if not 0 <= q <= a.dim:
-        raise ValueError("q must lie in [0, dim]")
-    return _index_det(a._lam, q, tol)
+def _index_dets(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(index, det) of stacked spectra (..., n): the count of eigenvalues below
+    -tol, or -1 where one lies in [-tol, tol], and their product."""
+    minus = np.sum(lam < -tol, axis=-1)
+    index = np.where(minus + np.sum(lam > tol, axis=-1) == lam.shape[-1], minus, -1)
+    return index, np.prod(lam, axis=-1)
 
 
-def _sign_counts(lam: tuple, tol: float) -> tuple[int, int]:
+def _index_det(lam: tuple, q: int) -> float:
+    # the lemma's 1_{index q} det at tol 0, on a spectrum of Python floats
     plus = minus = 0
     for x in lam:
-        if x > tol:
+        if x > 0:
             plus += 1
-        elif x < -tol:
+        elif x < 0:
             minus += 1
-    return plus, minus
-
-
-def _index_det(lam: tuple, q: int, tol: float) -> float:
-    plus, minus = _sign_counts(lam, tol)
     if minus == q and plus == len(lam) - q:
         return math.prod(lam)
     return 0.0
@@ -211,7 +207,7 @@ def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int,
         raise ValueError("dimension mismatch")
     if not 0 <= q <= n:
         raise ValueError("q must lie in [0, dim]")
-    lhs = abs(_index_det(lam_a, q, 0.0) - _index_det(lam_b, q, 0.0))
+    lhs = abs(_index_det(lam_a, q) - _index_det(lam_b, q))
     # finite - finite can still overflow to inf
     d = a.entries - b.entries
     if not np.isfinite(d).all():

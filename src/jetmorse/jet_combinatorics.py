@@ -145,6 +145,24 @@ def _reduced(x: int, y: int, q: int) -> Fraction:
     return Fraction(_LowestTerms(x, y))
 
 
+def _check_exact_cost(k: int, m: int) -> None:
+    """Raise :class:`ResourceLimitError` when exact rationals of order m at k
+    pass ``EXACT_BIT_CEILING`` (the bits of D^m, D = lcm(1..k)) or
+    ``EXACT_WORK_CEILING`` (the moment recurrence's m^2/2 products of
+    integers that large)."""
+    bits = m * k * math.log2(math.e)  # log lcm(1..k) ~ k
+    if bits > EXACT_BIT_CEILING:
+        raise ResourceLimitError(
+            f"exact power sums to order {m} at k={k} need about "
+            f"{bits:.3g} bits, above the ceiling of {EXACT_BIT_CEILING}")
+    work = m * m / 2 * bits ** math.log2(3)
+    if work > EXACT_WORK_CEILING:
+        raise ResourceLimitError(
+            f"the exact moment recurrence to order {m} at k={k} needs "
+            f"about {work:.3g} bit operations, above the ceiling of "
+            f"{EXACT_WORK_CEILING}")
+
+
 def _power_numerators(k: int, m_max: int) -> tuple[int, list]:
     """(D, [N_1, ..., N_mmax]) with p_m(k) = N_m / D^m and D = lcm(1..k).
 
@@ -155,17 +173,7 @@ def _power_numerators(k: int, m_max: int) -> tuple[int, list]:
     hold about the bits of D^m in all, not ln k times as many.  (D, N) is
     unique, so the order changes no value.
     """
-    bits = m_max * k * math.log2(math.e)  # log lcm(1..k) ~ k
-    if bits > EXACT_BIT_CEILING:
-        raise ResourceLimitError(
-            f"exact power sums to order {m_max} at k={k} need about "
-            f"{bits:.3g} bits, above the ceiling of {EXACT_BIT_CEILING}")
-    work = m_max * m_max / 2 * bits ** math.log2(3)
-    if work > EXACT_WORK_CEILING:
-        raise ResourceLimitError(
-            f"the exact moment recurrence to order {m_max} at k={k} needs "
-            f"about {work:.3g} bit operations, above the ceiling of "
-            f"{EXACT_WORK_CEILING}")
+    _check_exact_cost(k, m_max)
     lpf = list(range(k + 1))  # largest prime factor of s, 1 for s = 1
     for p in range(2, k // 2 + 1):
         if lpf[p] == p:  # no smaller prime divides p
@@ -287,9 +295,19 @@ def ikrn_bounds(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
     built from integers:  lower = r^n h^n / (rho d^n) and
     upper = r^n (3 h^n + sum_m 2^m n!/(n-m)! d^m h^{n-m}) / (3 rho d^n),
     reduced by the factors of r^n rho and 3 r^n rho.
+
+    The ceilings of :func:`ikrn_exact` at the same (k, n) apply, before any
+    work.  d divides lcm(1..k) and h < d (1 + ln k), so h^n, d^n and every
+    term of the sum have about the n k log2(e) bits of D^n.  A term takes
+    two powers by repeated squaring, which cost at most half a product of
+    integers of the term's size each (the squarings' sizes halve, and a
+    product costs size^log2(3)), and one product: under two full-size
+    products in all.  The n - 1 terms thus cost under 2 (n - 1) <= n^2 / 2
+    products ((n - 2)^2 >= 0), the count the recurrence's work model takes.
     """
     if k < 1 or r < 1 or n < 1:
         raise ValueError("require k >= 1, r >= 1, n >= 1")
+    _check_exact_cost(k, n)
     hk = harmonic(k)
     h, d = hk.numerator, hk.denominator
     rn, hn, dn, rho = r**n, h**n, d**n, _rising(k * r, n)

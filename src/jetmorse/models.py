@@ -43,8 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import (CurvatureTensor, _json_complex, _json_float, _json_int,
-                        tensor_from_json)
+from .curvature import (CurvatureTensor, _json_complex, _json_field, _json_float,
+                        _json_int, tensor_from_json)
 from .hermitian import HermitianForm
 from .morse_mc import ManifoldPoint, ManifoldSample
 from .rng import stream
@@ -283,11 +283,11 @@ def build_sample(spec: dict) -> ManifoldSample:
             for m in range(count))
         return ManifoldSample(pts)
     if kind == "explicit":
-        entries, pts = spec["points"], []
+        entries, pts = _json_field(spec, "points"), []
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("model field 'points' must be a list of objects")
         for entry in entries:
-            tensor = tensor_from_json(entry["tensor"])
+            tensor = tensor_from_json(_json_field(entry, "tensor"))
             rows = entry.get("twist")
             twist = None
             if rows is not None:
@@ -296,7 +296,7 @@ def build_sample(spec: dict) -> ManifoldSample:
                                      "of [re, im] pairs")
                 twist = HermitianForm(np.array(
                     [[_json_complex(pair) for pair in row] for row in rows]))
-            pts.append(ManifoldPoint(str(entry["id"]), tensor,
+            pts.append(ManifoldPoint(str(_json_field(entry, "id")), tensor,
                                      _json_float(entry, "weight"), twist))
         return ManifoldSample(tuple(pts))
     raise ValueError(f"unknown model type {kind!r}")

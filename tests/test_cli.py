@@ -197,10 +197,13 @@ def test_morse_outputs_and_rerun_identical(tmp_path):
     ["ikrn", "--k", "3000000", "--r", "1", "--n", "2", "--mode", "bounds"],
     ["ci-threshold", "--n", "2", "--s", "1", "--degrees", "15", "--a", "1",
      "--k", "3000000"],
+    ["ikrn", "--k", "1000", "--r", "1", "--n", "1000", "--mode", "bounds"],
+    ["ikrn", "--k", "1000", "--r", "1", "--n", "500", "--mode", "bounds"],
 ])
 def test_exact_guard_exit3_fast(argv, capsys):
     # k = 3e6 would need integers of ~8.7e6 bits (n = 2); the cost guard
-    # refuses before any work
+    # refuses before any work.  The bracket at k = 1000, n = 1000 (1.4e6
+    # bits) and n = 500 used to run for 116 s and 20 s.
     t0 = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - t0 < 1.0
@@ -325,6 +328,15 @@ def test_ci_threshold_boundary_exit2():
     assert "exceed" in err
 
 
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_ci_threshold_bad_twist_weight_exit2(value, capsys):
+    # --a 1/0 used to exit 4 with "numerical failure: Fraction(1, 0)"
+    rc = main(["ci-threshold", "--n", "2", "--s", "1", "--degrees", "15", "--a", value])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "" and err == f"error: --a expects a rational such as 1 or 3/2, got {value!r}\n"
+
+
 def test_ci_threshold_k_below_2_exit2_before_output(capsys):
     rc = main(["ci-threshold", "--n", "2", "--s", "1", "--degrees", "15",
                "--a", "1", "--k", "1"])
@@ -359,6 +371,18 @@ def test_morse_bad_thread_env_exit2(tmp_path, monkeypatch, capsys, value):
     assert rc == 2
     assert "JETMORSE_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_morse_exact_guard_exit3_before_sampling(tmp_path, capsys):
+    # I(400000, 1, 3) needs about 1.7e6 bits: refused before the Monte-Carlo
+    # run, which used to take 11.6 s first
+    model = '{"type":"random","n":3,"r":1,"points":1,"seed":1}'
+    t0 = time.perf_counter()
+    assert main(["morse", "--model", model, "--k-list", "400000", "--samples", "256",
+                 "--seed", "1", "--workers", "1", "--out", str(tmp_path / "x")]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("resource ceiling:")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_exact_work_guard_exit3_fast(capsys):
@@ -463,6 +487,12 @@ def _explicit(**fields):
     return {"type": "explicit", "points": [dict(point, **fields)]}
 
 
+def _explicit_without(key):
+    model = _explicit()
+    del model["points"][0][key]
+    return model
+
+
 _EXPLICIT_STRINGS = _explicit(tensor={"n": 1, "r": 1, "c": [["1", "0"]]})
 
 
@@ -495,19 +525,31 @@ _EXPLICIT_STRINGS = _explicit(tensor={"n": 1, "r": 1, "c": [["1", "0"]]})
     (_explicit(tensor={"n": 1, "r": 1, "c": 5}),
      "model field 'c' must be a list of [re, im] pairs"),
     (_explicit(twist=5), "model field 'twist' must be a list of rows of [re, im] pairs"),
+    (_explicit_without("id"), "model field 'id' is missing"),
+    (_explicit_without("weight"), "model field 'weight' is missing"),
+    (_explicit_without("tensor"), "model field 'tensor' is missing"),
+    (_explicit(tensor={"n": 1, "r": 1}), "model field 'c' is missing"),
+    ({"type": "explicit"}, "model field 'points' is missing"),
+    ({"type": "random", "r": 2, "seed": 1}, "model field 'n' is missing"),
+    ({"type": "random", "n": 2, "seed": 1}, "model field 'r' is missing"),
+    ({"type": "random", "n": 2, "r": 2}, "model field 'seed' is missing"),
+    ({"type": "fermat", "n": 1, "seed": 1}, "model field 'd' is missing"),
 ], ids=["n-null", "n-fraction", "seed-bool", "points-string", "n-zero", "c-strings",
         "not-object", "scale-null", "scale-bool", "scale-string", "weight-null",
         "weight-string", "points-int", "points-not-objects", "tensor-zero-size",
-        "tensor-int", "c-int", "twist-int"])
+        "tensor-int", "c-int", "twist-int", "id-missing", "weight-missing",
+        "tensor-missing", "c-missing", "points-missing", "n-missing", "r-missing",
+        "seed-missing", "d-missing"])
 def test_morse_malformed_model_field_exit2(model, message, tmp_path, capsys):
     # a null n, scale or weight, string [re, im] pairs, a document that is not
     # an object, explicit points that are not a list of objects, and a tensor,
     # c or twist that is a number used to fail with TypeError or
     # AttributeError (exit 1); n 2.7, seed true,
     # points "10", scale true or "2" and weight "0.5" ran as 2, 1, 10, 1.0,
-    # 2.0 and 0.5; and n 0 failed with "zero-size array to reduction
-    # operation maximum".  The document is read from a file, since an
-    # inline model must start with "{".
+    # 2.0 and 0.5; n 0 failed with "zero-size array to reduction
+    # operation maximum"; and a missing field printed its bare key, as
+    # "error: 'id'".  The document is read from a file, since an inline
+    # model must start with "{".
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     rc = main(["morse", "--model", str(path), "--k-list", "2",

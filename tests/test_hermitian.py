@@ -6,9 +6,12 @@ import pytest
 
 from jetmorse import morse_mc
 from jetmorse.cli import main
-from jetmorse.hermitian import (HermitianForm, det_diff_bound_holds, eigenvalues,
-                                operator_norm, signed_index_det, sphere_second_moment)
+from jetmorse.curvature import CurvatureTensor, eta
+from jetmorse.hermitian import (HermitianForm, _index_dets, det_diff_bound_holds,
+                                eigenvalues, operator_norm, sphere_second_moment)
 from jetmorse.measures import sample_sphere_batch
+from jetmorse.models import build_sample, random_tensor
+from jetmorse.morse_mc import ManifoldPoint, ManifoldSample, eta_index_integral
 from jetmorse.rng import stream
 
 
@@ -37,13 +40,14 @@ def test_form_symmetrization_keeps_huge_finite_entries():
     assert np.isfinite(form.entries).all()
 
 
-def test_signed_index_det():
-    a = HermitianForm.diagonal([-3.0, -3.0])
-    assert signed_index_det(a, 2, 1e-9) == pytest.approx(9.0)
-    assert signed_index_det(a, 0, 1e-9) == 0.0
-    assert signed_index_det(a, 1, 1e-9) == 0.0
-    b = HermitianForm.diagonal([1.0, 2.0, 3.0])
-    assert signed_index_det(b, 0, 1e-9) == pytest.approx(6.0)
+def test_index_dets():
+    # index -1 wherever an eigenvalue lies in the closed band [-tol, tol]
+    lam = np.array([[-3.0, -3.0], [-1.0, 2.0], [0.5, 4.0], [-1e-9, 2.0], [0.0, 1.0]])
+    index, det = _index_dets(lam, 1e-9)
+    assert index.tolist() == [2, 1, 0, -1, -1]
+    assert det.tolist() == [9.0, -2.0, 2.0, -2e-9, 0.0]
+    index, det = _index_dets(lam.reshape(5, 1, 2), 0.0)
+    assert index.tolist() == [[2], [1], [0], [1], [-1]] and det.shape == (5, 1)
 
 
 def test_operator_norm_scales():
@@ -133,10 +137,11 @@ def test_sphere_second_moment_sandwich():
 
 @pytest.mark.parametrize("tol", [math.nan, -5.0, -0.5e-300, math.inf])
 def test_bad_tolerance_raises(tol):
-    a = HermitianForm.diagonal([2.0, -1.0, 0.5])
-    for q in range(a.dim + 1):
+    c = np.diag([2.0, -1.0, 0.5]).astype(complex)[:, :, None, None]
+    M = ManifoldSample((ManifoldPoint("a", CurvatureTensor(c), 1.0),))
+    for q in range(M.n + 1):
         with pytest.raises(ValueError, match="tol must be >= 0"):
-            signed_index_det(a, q, tol)
+            eta_index_integral(M, q, tol)
 
 
 # numpy versions of the spectrum helpers, as they read the ndarray spectrum
@@ -194,15 +199,25 @@ def _helper_cases():
 
 
 def test_spectrum_helpers_bit_equal_numpy():
+    by_dim = {}
     for a in _helper_cases():
+        by_dim.setdefault(a.dim, []).append(a)
         lam = a.spectrum
         # zero, every eigenvalue's magnitude (the band edge itself) and a
         # norm-relative band
         scaled = 1e-9 * max(1.0, operator_norm(a))
         for tol in [0.0, 1e-9, scaled] + [abs(x) for x in lam.tolist()]:
+            index, det = _index_dets(lam, tol)
             for q in range(a.dim + 1):
-                assert _bits(signed_index_det(a, q, tol)) == _bits(_np_signed_index_det(a, q, tol))
+                got = float(det) if index == q else 0.0
+                assert _bits(got) == _bits(_np_signed_index_det(a, q, tol))
         assert _bits(operator_norm(a)) == _bits(_np_operator_norm(a))
+    # a stack gives each row's own (index, det)
+    for forms in by_dim.values():
+        index, det = _index_dets(np.stack([a.spectrum for a in forms]), 1e-9)
+        for a, i, d in zip(forms, index.tolist(), det.tolist()):
+            for q in range(a.dim + 1):
+                assert _bits(d if i == q else 0.0) == _bits(_np_signed_index_det(a, q, 1e-9))
 
 
 def test_det_diff_verdicts_equal_numpy():
@@ -268,9 +283,18 @@ def test_det_diff_right_side_overflow_holds():
         assert det_diff_bound_holds(b, a, q)
 
 
+def _np_eta_index_integrals(M, q_list, tol):
+    # one form and one eigensolve per point, as the eta column was computed
+    # before it became one stacked eigensolve
+    forms = [eta(p.tensor) if p.twist is None else eta(p.tensor) + p.twist
+             for p in M.points]
+    return {q: math.fsum(p.weight * _np_signed_index_det(f, q, tol)
+                         for p, f in zip(M.points, forms)) for q in q_list}
+
+
 def test_morse_output_matches_numpy_index_det(tmp_path, monkeypatch):
-    # eta_integral goes through signed_index_det; the README model's report
-    # must keep every byte it had with the numpy reductions
+    # the stacked eta column must keep every byte of the README model's
+    # report that the per-point numpy reductions gave
     model = '{"type":"random","n":2,"r":2,"points":4,"scale":1.0,"seed":9}'
 
     def run(tag):
@@ -280,5 +304,25 @@ def test_morse_output_matches_numpy_index_det(tmp_path, monkeypatch):
         return [open(out + ext, "rb").read() for ext in (".csv", ".json")]
 
     got = run("floats")
-    monkeypatch.setattr(morse_mc, "signed_index_det", _np_signed_index_det)
+    monkeypatch.setattr(morse_mc, "_eta_index_integrals", _np_eta_index_integrals)
     assert got == run("numpy")
+
+
+def test_eta_column_bit_equal_per_point_oracle():
+    rng = stream(11, "eta-column")
+    twisted = ManifoldSample(tuple(
+        ManifoldPoint(f"p{m}", random_tensor(3, 2, 1.0, m), 0.1 * (m + 1),
+                      _random_form(3, rng)) for m in range(8)))
+    samples = [build_sample(spec) for spec in (
+        {"type": "fermat", "n": 3, "d": 5, "points": 16, "seed": 1},
+        {"type": "fermat", "n": 2, "d": 60, "points": 8, "seed": 2},
+        {"type": "random", "n": 2, "r": 2, "points": 16, "seed": 1},
+        {"type": "random", "n": 4, "r": 2, "points": 8, "scale": 1e100, "seed": 3},
+        {"type": "fubini_study", "n": 3})] + [twisted]
+    for M in samples:
+        q_list = list(range(M.n + 1))
+        for tol in (0.0, 1e-9, 0.5):
+            got = morse_mc._eta_index_integrals(M, q_list, tol)
+            with np.errstate(over="ignore"):  # the oracle's np.prod at scale 1e100
+                want = _np_eta_index_integrals(M, q_list, tol)
+            assert [_bits(got[q]) for q in q_list] == [_bits(want[q]) for q in q_list]

@@ -320,6 +320,27 @@ def test_work_guard_rejects_long_recurrence(monkeypatch):
         ikrn_exact(10, 1, 1100)
 
 
+def test_bounds_ceiling_before_any_work(monkeypatch):
+    # h^n, d^n and the bracket's sum are as large as D^n: the ceilings of
+    # ikrn_exact apply before H_k is computed
+    def fail(*args):
+        raise AssertionError("H_k was computed past the ceiling")
+
+    monkeypatch.setattr(jet_combinatorics, "harmonic", fail)
+    with pytest.raises(ResourceLimitError, match="bits"):
+        ikrn_bounds(1000, 1, 1000)
+    with pytest.raises(ResourceLimitError, match="recurrence"):
+        ikrn_bounds(1000, 1, 500)
+
+
+def test_bounds_ceiling_admits_certify_grid():
+    # the bench's certify grid: k up to 2,007, r up to 3, n 2, 4, 6
+    for k in [*range(40, 48), *range(400, 408), *range(2000, 2008)]:
+        for n in (2, 4, 6):
+            jet_combinatorics._check_exact_cost(k, n)
+    assert ikrn_bounds(2007, 3, 6) == _fraction_bounds(2007, 3, 6)
+
+
 def test_exact_grid_pinned():
     # one blake2b over the numerator and denominator of every exact value on
     # a grid, as computed by the full-gcd reduction: a value that changes, or

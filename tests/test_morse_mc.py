@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from jetmorse import morse_mc
 from jetmorse.curvature import CurvatureTensor, g_k_batch, trace_free
 from jetmorse.hermitian import HermitianForm, _herm_matrices
-from jetmorse.jet_combinatorics import harmonic, ikrn_exact
+from jetmorse.jet_combinatorics import ResourceLimitError, harmonic, ikrn_exact
 from jetmorse.models import build_sample, fubini_study_tensor, random_tensor
 from jetmorse.morse_mc import (ManifoldPoint, ManifoldSample, MorseReport,
                                MorseRow, convergence_study, eta_index_integral,
@@ -59,6 +60,37 @@ def test_eta_index_integral_with_twist():
     M = _single(t, twist)
     assert eta_index_integral(M, 0, 1e-9) == pytest.approx(4.0)
     assert eta_index_integral(M, 2, 1e-9) == 0.0
+
+
+def test_eta_column_is_one_stacked_eigensolve(monkeypatch):
+    M = build_sample({"type": "fermat", "n": 3, "d": 5, "points": 16, "seed": 1})
+    want = morse_mc._eta_index_integrals(M, [0, 1, 2, 3], 1e-9)
+    calls, built = [], []
+    real, init = np.linalg.eigvalsh, HermitianForm.__post_init__
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    monkeypatch.setattr(HermitianForm, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    assert morse_mc._eta_index_integrals(M, [0, 1, 2, 3], 1e-9) == want
+    assert calls == [(16, 3, 3)] and built == []
+
+
+def test_eta_integral_overflow_raises_without_warning(monkeypatch):
+    # det eta = (-3e200)^2 is past the float range: it reads inf, without a
+    # RuntimeWarning, and the study raises
+    M = _single(CurvatureTensor(np.diag([-3e200, -3e200]).astype(complex).reshape(2, 2, 1, 1)))
+    assert morse_mc._eta_index_integrals(M, [0, 2], 1e-9) == {0: 0.0, 2: math.inf}
+    monkeypatch.setattr(morse_mc, "_run_points",
+                        lambda *args: ({(2, 2): 0.0}, {(2, 2): 0.0}, {2: 0.0}))
+    with pytest.raises(FloatingPointError, match="q=2: non-finite eta integral inf"):
+        convergence_study(M, [2], 2, 100, 1, 1e-9)
+
+
+def test_eta_integral_rejects_non_finite_entries():
+    # finite coefficients whose fiber trace overflows
+    big = np.finfo(float).max
+    M = _single(CurvatureTensor(np.diag([big, big]).astype(complex).reshape(1, 1, 2, 2)))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        eta_index_integral(M, 0, 1e-9)
 
 
 def test_reduced_scalar_k1():
@@ -175,16 +207,16 @@ def test_screen_rows_independent_of_scale(n, monkeypatch):
     sent = []
 
     def spy(a):
-        if a.ndim == 3:  # the kernel's batches, not the eta spectra
-            sent.append(a.copy())
+        sent.append(a.copy())
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     rows = []
     for scale in (1.0, 2.0**176):
         sent.clear()
-        convergence_study(_overflow_sample("random", scale, n), [2, 4], range(n + 1),
-                          2000, 1, 1e-3 * scale, workers=1)
+        # the kernel alone: the eta column's stacked eigensolve is not a screen row
+        morse_mc._run_points(_overflow_sample("random", scale, n), [2, 4], range(n + 1),
+                             2000, 1, 1e-3 * scale, 1)
         rows.append(np.concatenate(sent))
     assert 0 < len(rows[0]) < 4 * 2 * 2000 // 10
     assert np.array_equal(rows[0], rows[1])
@@ -291,6 +323,51 @@ def test_convergence_study_report_shape():
                                    "log_full_constant")
     doc = rep.to_json_dict()
     assert doc["rows"][0]["full_constant"]["den"].isdigit()
+
+
+@pytest.mark.parametrize("twisted, k, n", [(False, 400_000, 3), (True, 800_000, 2)])
+def test_convergence_study_refuses_exact_ceiling_before_sampling(twisted, k, n, monkeypatch):
+    # untwisted studies need I(k, r, n), twisted ones H_k: a k past the
+    # ceiling used to be refused only after the whole Monte-Carlo run
+    twist = HermitianForm.identity(n) if twisted else None
+    M = _single(random_tensor(n, 1, 1.0, 3), twist)
+
+    def fail(*args):
+        raise AssertionError("sampling ran before the ceiling check")
+
+    monkeypatch.setattr(morse_mc, "_run_points", fail)
+    with pytest.raises(ResourceLimitError, match=f"order {1 if twisted else n} at k={k}"):
+        convergence_study(M, [2, k], 0, 256, 1, 1e-9)
+
+
+def test_int_text_equals_str():
+    # past Python's digit limit, which the test lifts to read str(v)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        values = [0, 7, -12345, 10**4300 - 1, 10**4300, -(3**30000),
+                  math.factorial(3000) ** 2, 7**100_000 + 1, (1 << 200_000) - 1]
+        for v in values:
+            assert morse_mc._int_text(v) == str(v)
+        # about 10^6 digits, with texts known without a quadratic str
+        e = 10**6
+        nines = 10**e - 1
+        assert morse_mc._int_text(nines) == "9" * e
+        assert morse_mc._int_text(nines // 9 * 7) == "7" * e
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_json_converts_each_constant_once(monkeypatch):
+    rep = convergence_study(_single(random_tensor(2, 2, 1.0, 41)), [2, 4], [0, 1, 2],
+                            100, 3, 1e-9)
+    seen = []
+    real = morse_mc._int_text
+    monkeypatch.setattr(morse_mc, "_int_text", lambda v: seen.append(v) or real(v))
+    doc = rep.to_json_dict()
+    assert len(seen) == 4  # numerator and denominator of two k
+    assert [r["full_constant"]["den"] for r in doc["rows"]] == [
+        str(r.full_constant.denominator) for r in rep.rows]
 
 
 def test_convergence_study_rejects_unsorted():
