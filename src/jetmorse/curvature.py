@@ -12,8 +12,7 @@ From the tensor we build:
 * the n x n trace form eta and the trace-free tensor,
 * the fiber form Q(zeta) (r x r) and the sampled curvature form
   sum_s (x_s/s) Q-contraction with u_s (n x n) of a draw (x, u), batched
-  over draws by :func:`g_k_batch`,
-* its exact expectation H_k/(k r) eta.
+  over draws by :func:`g_k_batch`, whose expectation is H_k/(k r) eta.
 
 Sampled forms live in the real hermitian coordinates that ``hermitian`` owns.
 This module owns the tensor map (:func:`_tensor_map`, a real (r*r, n*n)
@@ -30,14 +29,12 @@ import numpy as np
 
 from .hermitian import (HermitianForm, _herm_basis, _herm_coords, _herm_matrices,
                         _symmetrized, _triu_pairs)
-from .jet_combinatorics import harmonic
 
 __all__ = [
     "CurvatureTensor",
     "eta",
     "trace_free",
     "g_k_batch",
-    "expected_g_k",
     "tensor_to_json",
     "tensor_from_json",
 ]
@@ -141,14 +138,6 @@ def g_k_batch(t: CurvatureTensor, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     weights = x / np.arange(1, x.shape[1] + 1)
     fiber = np.einsum("xms,ms->xm", _outer_coords(u), weights)
     return _herm_matrices(_apply_tensor(t, fiber).T, t.n)
-
-
-def expected_g_k(t: CurvatureTensor, k: int) -> HermitianForm:
-    """Exact expectation of the sampled curvature form: (H_k / (k r)) eta."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    factor = float(harmonic(k)) / (k * t.r)
-    return HermitianForm(factor * eta(t).entries)
 
 
 def tensor_to_json(t: CurvatureTensor) -> str:

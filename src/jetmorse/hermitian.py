@@ -14,13 +14,11 @@ It also owns the real coordinates of hermitian matrices (:func:`_herm_coords`,
 inverse :func:`_herm_matrices`) that ``curvature`` and ``morse_mc`` share, and
 the index and determinant of stacked spectra (:func:`_index_dets`).
 
-Each form eigensolves once and keeps its spectrum twice: the read-only
-ndarray :attr:`HermitianForm.spectrum`, and a tuple of Python floats that
-serves only :func:`operator_norm` and :func:`det_diff_bound_holds`.  A form
-has few eigenvalues, so counting signs in a Python loop, ``math.prod``
-(bit-equal to ``np.prod`` at these sizes) and the norm read off the two
-ends of the ascending spectrum cost a fraction of the numpy calls they
-replace in the lemma's one-pair checks.
+Each form eigensolves once and keeps its read-only spectrum
+(:attr:`HermitianForm.spectrum`); from it, once per form, it caches the
+lemma's inertia as Python scalars: the index at tolerance 0 and the
+determinant through :func:`_index_dets`, and the norm max |lambda_i| read off
+the two ends of the ascending spectrum.
 :func:`det_diff_bound_holds` eigensolves A - B directly, without building a
 form for it, and only when the lemma's left side is nonzero or the slack
 negative: with ``lhs == 0`` and ``slack >= 0`` the bound holds for every
@@ -68,32 +66,16 @@ class HermitianForm:
         return lam
 
     @cached_property
-    def _lam(self) -> tuple:
-        # the spectrum as Python floats, for the scalar helpers below
-        return tuple(self.spectrum.tolist())
+    def _inertia(self) -> tuple:
+        # (index at tol 0, det, norm) as Python scalars, for the lemma's checks;
+        # an overflowing determinant reads inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            index, det = _index_dets(self.spectrum, 0.0)
+        return int(index), float(det), _norm(self.spectrum.tolist())
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @staticmethod
-    def identity(n: int) -> "HermitianForm":
-        return HermitianForm(np.eye(n, dtype=complex))
-
-    @staticmethod
-    def diagonal(values) -> "HermitianForm":
-        return HermitianForm(np.diag(np.asarray(values, dtype=complex)))
-
-    def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        return HermitianForm(self.entries + other.entries)
-
-    def __sub__(self, other: "HermitianForm") -> "HermitianForm":
-        return HermitianForm(self.entries - other.entries)
-
-    def __mul__(self, scalar: float) -> "HermitianForm":
-        return HermitianForm(self.entries * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def _symmetrized(a: np.ndarray, axes: tuple, what: str, asymmetric: str) -> np.ndarray:
@@ -166,22 +148,9 @@ def _check_tol(tol: float) -> None:
 def _index_dets(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(index, det) of stacked spectra (..., n): the count of eigenvalues below
     -tol, or -1 where one lies in [-tol, tol], and their product."""
-    minus = np.sum(lam < -tol, axis=-1)
-    index = np.where(minus + np.sum(lam > tol, axis=-1) == lam.shape[-1], minus, -1)
-    return index, np.prod(lam, axis=-1)
-
-
-def _index_det(lam: tuple, q: int) -> float:
-    # the lemma's 1_{index q} det at tol 0, on a spectrum of Python floats
-    plus = minus = 0
-    for x in lam:
-        if x > 0:
-            plus += 1
-        elif x < 0:
-            minus += 1
-    if minus == q and plus == len(lam) - q:
-        return math.prod(lam)
-    return 0.0
+    minus = (lam < -tol).sum(axis=-1)
+    index = np.where(minus + (lam > tol).sum(axis=-1) == lam.shape[-1], minus, -1)
+    return index, lam.prod(axis=-1)
 
 
 def _norm(lam) -> float:
@@ -191,7 +160,7 @@ def _norm(lam) -> float:
 
 def operator_norm(a: HermitianForm) -> float:
     """Hermitian operator norm max |lambda_i|."""
-    return _norm(a._lam)
+    return a._inertia[2]
 
 
 def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int,
@@ -201,20 +170,20 @@ def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int,
     The inequality is a theorem for exact signatures (zero tolerance); we
     evaluate the indicators at tol=0 and allow a small floating slack.
     """
-    lam_a, lam_b = a._lam, b._lam
-    n = len(lam_a)
-    if n != len(lam_b):
+    n = a.dim
+    if n != b.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= q <= n:
         raise ValueError("q must lie in [0, dim]")
-    lhs = abs(_index_det(lam_a, q) - _index_det(lam_b, q))
+    index_a, det_a, na = a._inertia
+    index_b, det_b, nb = b._inertia
+    lhs = abs((det_a if index_a == q else 0.0) - (det_b if index_b == q else 0.0))
     # finite - finite can still overflow to inf
     d = a.entries - b.entries
     if not np.isfinite(d).all():
         raise ValueError("entries must be finite")
     if lhs == 0 and slack >= 0:
         return True  # 0 <= rhs + slack max(1, rhs) for every rhs >= 0
-    na, nb = _norm(lam_a), _norm(lam_b)
     # A - B is hermitian by construction and is eigensolved once, without a form
     diff = _norm(np.linalg.eigvalsh(d).tolist())
     try:

@@ -245,7 +245,10 @@ def _random_tensor(n: int, r: int, scale: float, seed: int, *point) -> Curvature
 
 
 def ci_threshold(spec: CompleteIntersectionSpec) -> float:
-    """Natural log of the jet-order threshold 7.38 n^{n+1/2} ((D+1)/(D-n-s-a-1))^n."""
+    """Natural log of the jet-order threshold 7.38 n^{n+1/2} ((D+1)/(D-n-s-a-1))^n.
+
+    Raises FloatingPointError where it passes the float range (from n = 140
+    at s = 1, D = 10 n)."""
     n, s, a = spec.n, spec.s, spec.a
     total = sum(spec.degrees)
     margin = Fraction(total) - (n + s + a + 1)
@@ -253,7 +256,13 @@ def ci_threshold(spec: CompleteIntersectionSpec) -> float:
         raise ValueError(
             f"degree sum {total} must exceed n+s+a+1 = {n + s + float(a) + 1}")
     ratio = Fraction(total + 1) / margin
-    return 7.38 * n ** (n + 0.5) * float(ratio) ** n
+    try:
+        ln_k = 7.38 * n ** (n + 0.5) * float(ratio) ** n
+    except OverflowError:  # float ** raises past the float range, * gives inf
+        ln_k = math.inf
+    if not math.isfinite(ln_k):
+        raise FloatingPointError(f"ln_k_min overflows the float range at n = {n}")
+    return ln_k
 
 
 def build_sample(spec: dict) -> ManifoldSample:

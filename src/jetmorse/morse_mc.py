@@ -185,7 +185,6 @@ class MorseRow:
     std_error: float
     eta_integral: float
     normalized_deviation: float
-    predicted_decay: float
     degenerate_fraction: float
     log_full_constant: float
     full_constant: Fraction = field(repr=False, default=Fraction(0))
@@ -532,10 +531,9 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
     normalized_deviation = |estimate * r^n / I(k, r, n) - eta_integral|;
     with a twist the renormalized form already has expectation
     eta + Theta_F, so the deviation is |estimate - eta_integral| instead.
-    predicted_decay is C / log k with C matched on the first k.  A non-finite
-    estimate, std error (see :func:`_run_points`) or eta integral raises
-    FloatingPointError; a k past the exact layer's ceilings raises
-    ResourceLimitError before any sampling.
+    A non-finite estimate, std error (see :func:`_run_points`) or eta
+    integral raises FloatingPointError; a k past the exact layer's ceilings
+    raises ResourceLimitError before any sampling.
     """
     k_list = [int(k) for k in k_list]
     if k_list != sorted(k_list) or len(set(k_list)) != len(k_list):
@@ -554,7 +552,6 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
         if not math.isfinite(eta_int[q]):
             raise FloatingPointError(f"q={q}: non-finite eta integral {eta_int[q]}")
     rows = []
-    decay_const = {}
     for k in k_list:
         const, log_const = full_morse_constant(n, k, r)
         if M.has_twist:
@@ -562,14 +559,11 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q,
         else:
             scale = float(r**n / ikrn_exact(k, r, n))
         for q in q_list:
-            dev = abs(est[(k, q)] * scale - eta_int[q])
-            if q not in decay_const:
-                decay_const[q] = dev * math.log(k) if k > 1 else 0.0
-            pred = decay_const[q] / math.log(k) if k > 1 else math.inf
             rows.append(MorseRow(
                 k=k, q=q,
                 reduced_estimate=est[(k, q)], std_error=se[(k, q)],
-                eta_integral=eta_int[q], normalized_deviation=dev,
-                predicted_decay=pred, degenerate_fraction=degen[k],
+                eta_integral=eta_int[q],
+                normalized_deviation=abs(est[(k, q)] * scale - eta_int[q]),
+                degenerate_fraction=degen[k],
                 log_full_constant=log_const, full_constant=const))
     return MorseReport(tuple(rows))

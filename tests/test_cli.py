@@ -154,8 +154,8 @@ TWISTED = json.dumps({"type": "explicit", "points": [
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("model, digest", [
-    (MODEL, "a83a5fad75cb2d7727575ae75007245d"),
-    (TWISTED, "05396a42ebe4ae9a1fa456eab01b3135"),
+    (MODEL, "41f23e291873aaa50b2939ceecba1d3e"),
+    (TWISTED, "dca8cf50aea66ef19618ca8e612a58f8"),
 ])
 def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
     out = str(tmp_path / "m")
@@ -164,6 +164,19 @@ def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
                  "--workers", workers]) == 0
     data = (tmp_path / "m.csv").read_bytes() + (tmp_path / "m.json").read_bytes()
     assert _digest(data) == digest
+
+
+def test_morse_json_is_strict_at_k_1(tmp_path):
+    # k = 1 wrote "predicted_decay": Infinity, which strict JSON rejects
+    out = str(tmp_path / "m")
+    assert main(["morse", "--model", MODEL, "--k-list", "1,2", "--samples", "300",
+                 "--seed", "3", "--out", out]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rows = json.loads((tmp_path / "m.json").read_text(), parse_constant=reject)["rows"]
+    assert sorted({r["k"] for r in rows}) == [1, 2]
 
 
 @pytest.mark.parametrize("flag", [["--method", "series"], ["--term-ceiling", "1000"]])
@@ -326,6 +339,17 @@ def test_ci_threshold_boundary_exit2():
                        "--degrees", "5", "--a", "1"])
     assert rc == 2
     assert "exceed" in err
+
+
+@pytest.mark.parametrize("n", [140, 143])
+def test_ci_threshold_overflow_exit4_before_output(n, capsys):
+    # n = 140 printed ln_k_min inf and exited 0; n = 143 exited 4 with only
+    # "(34, 'Numerical result out of range')"
+    rc = main(["ci-threshold", "--n", str(n), "--s", "1", "--degrees", str(10 * n)])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == f"numerical failure: ln_k_min overflows the float range at n = {n}\n"
 
 
 @pytest.mark.parametrize("value", ["1/0", "x"])

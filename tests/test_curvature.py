@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmorse.curvature import (CurvatureTensor, _tensor_map, eta, expected_g_k,
+from jetmorse.curvature import (CurvatureTensor, _tensor_map, eta,
                                 g_k_batch, tensor_from_json, tensor_to_json, trace_free)
 from jetmorse.hermitian import _herm_basis, _herm_coords, _herm_matrices, _triu_pairs
 from jetmorse.measures import sample_nu_batch, sample_sphere_batch
@@ -71,21 +69,6 @@ def test_tensor_map_matches_einsum_build():
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert not _herm_basis(2).flags.writeable
     assert not _triu_pairs(3)[0].flags.writeable
-
-
-def test_expected_g_k_mc():
-    t = random_tensor(2, 2, 1.0, 13)
-    k, m = 4, 150000
-    rng = stream(5, "egk-test")
-    g = rng.gamma(shape=t.r, size=(m, k))
-    x = g / g.sum(axis=1, keepdims=True)
-    u = sample_sphere_batch(t.r, (m, k), rng)
-    forms = g_k_batch(t, x, u)
-    want = expected_g_k(t, k).entries
-    for part in (np.real, np.imag):
-        dev = np.abs(part(forms.mean(axis=0)) - part(want))
-        se = part(forms).std(axis=0) / math.sqrt(m)
-        assert np.all(dev <= 3 * np.maximum(se, 1e-12))
 
 
 def test_tensor_symmetrization_keeps_huge_finite_entries():

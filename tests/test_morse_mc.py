@@ -329,7 +329,7 @@ def test_convergence_study_report_shape():
 def test_convergence_study_refuses_exact_ceiling_before_sampling(twisted, k, n, monkeypatch):
     # untwisted studies need I(k, r, n), twisted ones H_k: a k past the
     # ceiling used to be refused only after the whole Monte-Carlo run
-    twist = HermitianForm.identity(n) if twisted else None
+    twist = HermitianForm(np.eye(n)) if twisted else None
     M = _single(random_tensor(n, 1, 1.0, 3), twist)
 
     def fail(*args):
@@ -386,7 +386,7 @@ def test_convergence_study_rejects_bad_k_and_tol():
 
 
 def test_report_duplicate_keys_rejected():
-    row = MorseRow(2, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    row = MorseRow(2, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         MorseReport((row, row))
 

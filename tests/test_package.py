@@ -3,7 +3,9 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import types
 
+import numpy as np
 import pytest
 
 import jetmorse
@@ -37,6 +39,26 @@ def test_no_unused_imports(name):
     used.update(getattr(module, "__all__", ()))
     unused = imported - used - _WRAP_TARGETS.get(name, set())
     assert unused == set()
+
+
+def test_bench_trace_targets_exist(monkeypatch):
+    # bench/tracing.py wraps jetmorse names by attribute; a renamed or deleted
+    # target raises AttributeError here, not only in a traced bench run
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    run = importlib.import_module("run")
+    tracing = importlib.import_module("tracing")
+    jm = types.SimpleNamespace(
+        **{m: importlib.import_module("jetmorse." + m) for m in run.MODULES})
+    # install patches np.linalg.eigvalsh early; monkeypatch restores it even
+    # when a later name is missing and install raises before returning
+    monkeypatch.setattr(np.linalg, "eigvalsh", np.linalg.eigvalsh)
+    real = jm.hermitian.det_diff_bound_holds
+    patches = tracing.install(tracing.Tracer(), jm)
+    try:
+        assert jm.hermitian.det_diff_bound_holds.__wrapped__ is real
+    finally:
+        patches.undo()
+    assert jm.hermitian.det_diff_bound_holds is real
 
 
 def _module_private_names(tree):
