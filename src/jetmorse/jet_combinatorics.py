@@ -40,8 +40,9 @@ take 127k/95k and 32k/95k bits).  The ``Fraction`` is then built from the
 reduced pair without one more gcd.  D^m has about m k log2(e) bits, and the recurrence
 to order m makes about m^2/2 products of integers that large; a request
 above ``EXACT_BIT_CEILING`` or ``EXACT_WORK_CEILING`` raises
-:class:`ResourceLimitError` before any work (the CLI exits 3).  Only the final square roots and logarithms use mpmath,
-with enough guard digits (interval arithmetic for the bound comparison).
+:class:`ResourceLimitError` before any work (the CLI exits 3).  The final
+square roots and logarithm are stateless ``mpmath.libmp`` calls at 136 bits,
+and the bound comparison is read off their two rounded results.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
+from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_sqrt, to_float
 
 __all__ = [
     "EULER_GAMMA",
@@ -90,6 +91,9 @@ EXACT_WORK_CEILING = 1 << 40
 # k = 404, 2005 and 22027 (m 6, 6, 4) was within 15% of its best from 16 to
 # 64 and up to 1.9x slower at 8 or 128.
 _LEAF_RUN = 32
+
+_PREC = 136  # epsilon_ratio's precision in bits, that of 40 decimal digits
+_ROOT_31_15 = mpf_sqrt(mpf_div(from_int(31), from_int(15), _PREC, "n"), _PREC, "n")
 
 
 class ResourceLimitError(RuntimeError):
@@ -305,8 +309,8 @@ def ikrn_bounds(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
     products in all.  The n - 1 terms thus cost under 2 (n - 1) <= n^2 / 2
     products ((n - 2)^2 >= 0), the count the recurrence's work model takes.
     """
-    if k < 1 or r < 1 or n < 1:
-        raise ValueError("require k >= 1, r >= 1, n >= 1")
+    if k < 1 or r < 1 or n < 0:
+        raise ValueError("require k >= 1, r >= 1, n >= 0")
     _check_exact_cost(k, n)
     hk = harmonic(k)
     h, d = hk.numerator, hk.denominator
@@ -320,8 +324,8 @@ def ikrn_bounds(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
 
 def ikrn_asymptotic(k: int, r: int, n: int) -> float:
     """Leading large-k approximation (log k + gamma)^n / k^n."""
-    if k < 1 or r < 1 or n < 1:
-        raise ValueError("require k >= 1, r >= 1, n >= 1")
+    if k < 1 or r < 1 or n < 0:
+        raise ValueError("require k >= 1, r >= 1, n >= 0")
     return (math.log(k) + EULER_GAMMA) ** n / float(k) ** n
 
 
@@ -329,10 +333,10 @@ def ikrn_asymptotic(k: int, r: int, n: int) -> float:
 class EpsilonRatio:
     """The exact error quotient and its closed-form bound.
 
-    ``exact`` is a 30-digit evaluation of the square root of
-    ``exact_squared`` (which is an exact rational); ``paper_bound`` is
-    sqrt(31/15)/log k, valid for k >= e^{5n-5}; ``within_bound`` is decided
-    by outward-rounded interval arithmetic, not floating comparison.
+    ``exact`` and ``paper_bound`` = sqrt(31/15)/log k (valid for k >= e^{5n-5})
+    are the floats nearest to 136-bit values of the square root of the exact
+    rational ``exact_squared`` and of the bound; ``within_bound`` certifies
+    that the true quotient is below the true bound (see :func:`epsilon_ratio`).
     """
 
     exact: float
@@ -359,18 +363,13 @@ def epsilon_ratio(k: int, r: int, n: int) -> EpsilonRatio:
     exact_sq = _reduced(a * top * d * d, b * bottom,
                         a * b * math.gcd(top, gn) * math.gcd(d, gn))
 
-    with mpmath.workdps(40):
-        exact = mpmath.sqrt(mpmath.mpf(exact_sq.numerator) / exact_sq.denominator)
-        bound = mpmath.sqrt(mpmath.mpf(31) / 15) / mpmath.log(k)
-        exact_f = float(exact)
-        bound_f = float(bound)
-
-    # exact <= bound  <=>  exact_sq * (log k)^2 <= 31/15, decided on intervals
-    iv = mpmath.iv
-    with mpmath.workprec(120):
-        lhs = iv.mpf(exact_sq.numerator) / iv.mpf(exact_sq.denominator) * iv.log(k) ** 2
-        rhs = iv.mpf(31) / iv.mpf(15)
-        within = lhs.b <= rhs.a
-
-    return EpsilonRatio(exact=exact_f, exact_squared=exact_sq,
-                        paper_bound=bound_f, within_bound=bool(within))
+    # each libmp call rounds to nearest at _PREC bits (mpf_log to within an
+    # ulp), so both 136-bit results lie within 2^-130 of the truth, relative,
+    # far inside half the gap from a float to either neighbour.  The nearest
+    # float's neighbours thus bracket the truth strictly, and within_bound is
+    # exact < nextafter(exact, inf) <= nextafter(bound, -inf) < bound.
+    sq = mpf_div(from_int(exact_sq.numerator), from_int(exact_sq.denominator), _PREC, "n")
+    exact = to_float(mpf_sqrt(sq, _PREC, "n"), rnd="n")
+    bound = to_float(mpf_div(_ROOT_31_15, mpf_log(from_int(k), _PREC, "n"), _PREC, "n"), rnd="n")
+    within = math.nextafter(exact, math.inf) <= math.nextafter(bound, -math.inf)
+    return EpsilonRatio(exact, exact_sq, bound, within)

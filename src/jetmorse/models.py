@@ -226,13 +226,9 @@ def fermat_sample(n: int, d: int, count: int, seed: int) -> ManifoldSample:
     return ManifoldSample(pts)
 
 
-def random_tensor(n: int, r: int, scale: float, seed: int) -> CurvatureTensor:
-    """Hermitian-symmetrized complex-Gaussian coefficient tensor."""
-    return _random_tensor(n, r, scale, seed)
-
-
-def _random_tensor(n: int, r: int, scale: float, seed: int, *point) -> CurvatureTensor:
-    """:func:`random_tensor` keyed by (seed, *point): a model keys point m by (seed, m)."""
+def random_tensor(n: int, r: int, scale: float, seed: int, *point) -> CurvatureTensor:
+    """Hermitian-symmetrized complex-Gaussian coefficient tensor keyed by
+    (seed, *point): a ``random`` model keys point m by (seed, m)."""
     if n < 1 or r < 1:
         raise ValueError(f"random tensor needs n >= 1 and r >= 1, got n={n}, r={r}")
     if not 0 <= scale < math.inf:
@@ -287,7 +283,7 @@ def build_sample(spec: dict) -> ManifoldSample:
         scale = _json_float(spec, "scale", 1.0)
         seed = _json_int(spec, "seed")
         pts = tuple(
-            ManifoldPoint(f"pt{m:05d}", _random_tensor(n, r, scale, seed, m),
+            ManifoldPoint(f"pt{m:05d}", random_tensor(n, r, scale, seed, m),
                           1.0 / count)
             for m in range(count))
         return ManifoldSample(pts)

@@ -124,6 +124,10 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
 def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool) -> tuple:
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    volume = volume_closed_form(w)  # at most 1, so only an underflow fails here
+    if not (scale := float(volume)) >= np.finfo(float).smallest_normal:
+        raise FloatingPointError(f"closed-form volume 10^{-math.log10(volume.denominator):.1f}"
+                                 " is below the smallest normal float")
     rng = stream(seed, "fiber", "limit" if limit else "p", w.a, w.r)
     acc = (0, 0.0, 0.0)
     for first in range(0, n_samples, _BLOCK):
@@ -136,7 +140,6 @@ def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool
             raise FiberEvaluationError(first + i, tuple(b[i] for b in blocks))
         acc = merge_moments(acc, block_moments(vals * weight))
     _, mean, m2 = acc
-    scale = float(volume_closed_form(w))
     return float(mean) * scale, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples) * scale
 
 
@@ -149,7 +152,8 @@ def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
     (x_1^{a_1/2p} u_1, ..., x_k^{a_k/2p} u_k) of shapes (r_s,), and must
     return a real scalar.  Values are checked after each block of 2^12
     samples: a non-finite one raises :class:`FiberEvaluationError` at its
-    first index, and no later block is drawn or evaluated.
+    first index, and no later block is drawn or evaluated.  A closed-form
+    volume below the smallest normal float raises ``FloatingPointError``.
     """
     return _estimate(w, f, n_samples, seed, limit=False)
 

@@ -123,6 +123,29 @@ def test_ikrn_mc_zero_power_is_valid(capsys):
     assert capsys.readouterr().out == "estimate 1\nstd_error 0\n"
 
 
+def test_ikrn_n0_every_mode_agrees(capsys):
+    # bounds and asymptotic used to exit 2 at n = 0, where exact and mc print 1
+    out = {}
+    for mode in ("exact", "bounds", "asymptotic", "mc"):
+        assert main(["ikrn", "--k", "5", "--r", "2", "--n", "0", "--mode", mode,
+                     "--samples", "10", "--seed", "1"]) == 0
+        out[mode] = capsys.readouterr().out
+    assert out == {"exact": "exact 1/1\n", "bounds": "lower 1/1\nupper 1/1\n",
+                   "asymptotic": "asymptotic 1\n", "mc": "estimate 1\nstd_error 0\n"}
+
+
+def test_wps_volume_underflow_exit4_before_output(capsys):
+    # the volume 1000003^-60 (about 1e-360) turned into 0.0, and the command
+    # printed estimate, std_error and z_score 0 with exit 0
+    rc = main(["wps-volume", "--weights", "1,1000003", "--mults", "1,60",
+               "--samples", "100", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == ("numerical failure: closed-form volume 10^-360.0 is below "
+                   "the smallest normal float\n")
+
+
 def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 

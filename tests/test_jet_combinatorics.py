@@ -1,7 +1,10 @@
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +96,13 @@ def test_bounds_match_fraction_formula(k):
             assert ikrn_bounds(k, r, n) == _fraction_bounds(k, r, n)
 
 
+def test_n0_moment_is_one_in_every_form():
+    for k, r in ((1, 1), (5, 2), (400, 3)):
+        assert ikrn_exact(k, r, 0) == 1
+        assert ikrn_bounds(k, r, 0) == (1, 1)
+        assert ikrn_asymptotic(k, r, 0) == 1.0
+
+
 def test_bounds_n1_tight():
     # for n=1 the bracket collapses onto the exact value r H_k / (kr)
     k, r = 9, 2
@@ -126,6 +136,44 @@ def test_epsilon_ratio_squared_is_exact_quotient(k, r, n):
     want = ikrn_exact(k, r, 2 * n - 2) / (Fraction(k) * (k + Fraction(1, r))
                                           * ikrn_exact(k, r, n) ** 2)
     assert epsilon_ratio(k, r, n).exact_squared == want
+
+
+@pytest.mark.parametrize("k,r,n,exact,bound", [
+    (200, 1, 2, "0x1.546e36e0cae6ap-3", "0x1.15d770548bacap-2"),
+    (150, 2, 2, "0x1.69959f46d32c7p-3", "0x1.25cb2b95b1b89p-2"),
+    (22027, 1, 3, "0x1.83c90a10999d3p-4", "0x1.266af74e845f2p-3"),
+])
+def test_epsilon_ratio_floats_pinned(k, r, n, exact, bound):
+    # the nearest floats, as the 40-digit mpmath-context evaluation gave them
+    e = epsilon_ratio(k, r, n)
+    assert (e.exact.hex(), e.paper_bound.hex(), e.within_bound) == (exact, bound, True)
+
+
+def test_epsilon_ratio_ignores_caller_mpmath_state(monkeypatch):
+    # the interval verdict used to run at mpmath.iv's global precision, which
+    # reads False here; neither setting may be read or changed
+    want = epsilon_ratio(200, 1, 2)
+    monkeypatch.setattr(mpmath.iv, "prec", 2)
+    monkeypatch.setattr(mpmath.mp, "dps", 5)
+    assert epsilon_ratio(200, 1, 2) == want
+    assert (mpmath.iv.prec, mpmath.mp.dps) == (2, 5)
+
+
+def test_epsilon_ratio_thread_safe(monkeypatch):
+    # two threads used to interleave the save and restore of mpmath's global
+    # precision: a result changed in its last bit, or mp.prec was left at 136
+    cases = [(200, 1, 2), (150, 2, 2), (404, 1, 3), (97, 3, 2), (1000, 1, 2), (60, 2, 3)]
+    want = [epsilon_ratio(*c) for c in cases]
+    monkeypatch.setattr(mpmath.mp, "prec", 53)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(300):
+                assert list(pool.map(lambda c: epsilon_ratio(*c), cases)) == want
+                assert mpmath.mp.prec == 53
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_epsilon_ratio_rejects_degenerate():

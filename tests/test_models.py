@@ -224,6 +224,13 @@ def test_random_models_share_no_tensor_across_seeds():
     assert not any(np.array_equal(p.tensor.c, q.tensor.c) for p in a.points for q in b.points)
 
 
+def test_random_model_point_is_random_tensor_keyed_by_point():
+    M = build_sample({"type": "random", "n": 2, "r": 3, "points": 3, "scale": 0.5, "seed": 4})
+    for m, p in enumerate(M.points):
+        assert np.array_equal(p.tensor.c, random_tensor(2, 3, 0.5, 4, m).c)
+    assert not np.array_equal(random_tensor(2, 3, 0.5, 4).c, M.points[0].tensor.c)
+
+
 @pytest.mark.parametrize("n, d", [(1, 3), (1, 5), (2, 6), (2, 8)])
 def test_fermat_chern_number(n, d):
     # eta is the curvature of K_X = O(d - n - 2), with O(1) of identity form,

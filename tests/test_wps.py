@@ -269,3 +269,14 @@ def test_permutation_invariance(case, seed, samples):
     e1, s1 = integrate_fiber(w, f, samples, seed)
     e2, s2 = integrate_fiber(v, lambda z: f([z[i] for i in back]), samples, seed)
     assert abs(e1 - e2) <= 3 * math.hypot(s1, s2) + 1e-12
+
+
+@pytest.mark.parametrize("limit", [False, True])
+def test_volume_below_normal_floats_raises_before_sampling(limit, monkeypatch):
+    # the volume became 0.0 and every estimate and std error read 0
+    monkeypatch.setattr("jetmorse.wps.stream", None)  # no draw may start
+    run = integrate_fiber_limit if limit else integrate_fiber
+    with pytest.raises(FloatingPointError, match=r"volume 10\^-308.0 is below"):
+        run(WeightSpec((1, 2**1023), (1, 1)), lambda z: 1.0, 100, 1)  # volume 2^-1023
+    monkeypatch.undo()  # the smallest normal volume, 2^-1022, still runs
+    assert run(WeightSpec((1, 2**1022), (1, 1)), lambda z: 1.0, 10, 1) == (2.0**-1022, 0.0)
