@@ -11,7 +11,7 @@ ci-threshold jet-order threshold for twisted complete intersections
 Exit codes: 0 success, 2 invalid input, 3 resource ceiling exceeded,
 4 internal numerical failure.  Every stochastic command requires --seed and
 emits byte-identical output for a fixed seed, independent of the worker
-pool size (flag --workers or env JETMORSE_THREADS).
+pool size (flag --workers).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .jet_combinatorics import (ResourceLimitError, epsilon_ratio, ikrn_asymptotic,
                                 ikrn_bounds, ikrn_exact, inverse_square_sum)
-from .measures import block_moments, merge_moments, sample_nu_batch
+from .measures import estimate, sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
 from .morse_mc import _DRAW_BLOCK, _fmt, _int_text, convergence_study
 from .rng import stream
@@ -93,17 +93,11 @@ def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
         raise ValueError("n must be >= 0")
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
-    if samples < 2:
-        raise ValueError("a standard error needs at least 2 samples")
     rng = stream(seed, "ikrn-mc", k, r, n)
     w = 1.0 / np.arange(1, k + 1)
-    block = max(1, _DRAW_BLOCK // k)
-    acc = (0, 0.0, 0.0)
-    for lo in range(0, samples, block):
-        x = sample_nu_batch(k, r, min(block, samples - lo), rng)
-        acc = merge_moments(acc, block_moments((x @ w) ** n))
-    _, mean, m2 = acc
-    return float(mean), math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    mean, se = estimate(lambda first, m: (sample_nu_batch(k, r, m, rng) @ w) ** n,
+                        samples, max(1, _DRAW_BLOCK // k))
+    return float(mean), float(se)
 
 
 def cmd_ikrn(args) -> int:
@@ -233,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker threads, at most the number of cores "
-                        "(default: JETMORSE_THREADS or all cores)")
+                   help="worker threads, at most the number of CPUs this "
+                        "process may run on (default: all of them)")
     p.set_defaults(func=cmd_morse)
 
     p = sub.add_parser(

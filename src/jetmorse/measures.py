@@ -10,19 +10,19 @@ Two probability measures are used throughout the curvature statistics:
 
 Moments of both are available in closed form as exact rationals; the samplers
 are exact (normalized Gamma draws, normalized complex Gaussians) so no
-rejection step is needed.  Every Monte-Carlo estimate is reduced by one pair:
-:func:`block_moments` summarizes a block of samples as (count, mean, M2), and
-:func:`merge_moments` folds the summaries in order (Chan, Golub & LeVeque
-1983), so an estimator holds one block at a time, free of the cancellation a
-sum of squares suffers when the mean dominates; its std error is
-sqrt(M2 / (count - 1) / count).
+rejection step is needed.  Every Monte-Carlo estimate (``morse``, the fiber
+integrals, ``ikrn --mode mc``) is one :func:`estimate` over blocks of
+samples: each block is summarized as (count, mean, M2), and the summaries are
+merged in order (Chan, Golub & LeVeque 1983), so an estimator holds one
+block at a time, free of the cancellation a sum of squares suffers when the
+mean dominates.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "sample_sphere_batch",
     "block_moments",
     "merge_moments",
+    "estimate",
 ]
 
 
@@ -88,15 +89,11 @@ def sample_sphere_batch(dim: int, shape: tuple, rng: np.random.Generator) -> np.
 
 
 def block_moments(values: np.ndarray) -> tuple:
-    """``(count, mean, M2)`` along the last axis of one block, shape (m,), or of
-    q blocks, the rows of a (q, m) array; ``values`` is overwritten.  Rows are
-    reduced by one einsum, as the morse kernel always was, and a single block
-    by numpy's pairwise sum, as ``values.std(ddof=1)`` is, so both keep their bits."""
+    """``(count, mean, M2)`` along the last axis of a block of shape (..., m),
+    one summary per leading index; ``values`` is overwritten."""
     mean = values.mean(axis=-1)
     values -= mean[..., None]
-    if values.ndim == 1:
-        return values.size, mean, np.square(values, out=values).sum()
-    return values.shape[-1], mean, np.einsum("qi,qi->q", values, values)
+    return values.shape[-1], mean, np.einsum("...i,...i->...", values, values)
 
 
 def merge_moments(a: tuple, b: tuple) -> tuple:
@@ -109,3 +106,17 @@ def merge_moments(a: tuple, b: tuple) -> tuple:
     n = na + nb
     d = mb - ma
     return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n)
+
+
+def estimate(values: Callable, n: int, block: int) -> tuple:
+    """``(mean, sqrt(M2 / (n - 1) / n))`` of n samples: ``values(first, m)``, called
+    in sample order with m = ``block`` (less for a ragged last block), returns
+    samples first .. first + m - 1 as a (..., m) array, which is overwritten.
+    n < 2 raises ``ValueError`` before any call."""
+    if n < 2:
+        raise ValueError(f"a std error needs n >= 2 samples, got {n}")
+    acc = (0, 0.0, 0.0)
+    for first in range(0, n, block):
+        acc = merge_moments(acc, block_moments(values(first, min(block, n - first))))
+    _, mean, m2 = acc
+    return mean, np.sqrt(m2 / (n - 1) / n)

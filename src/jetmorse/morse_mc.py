@@ -38,10 +38,11 @@ batched pass over the real coordinates.  A screen accepts the pivots only
 when their product, the factorization's backward error (Higham) and Weyl's
 inequality prove that no eigenvalue lies in the band [-tol, tol]; every
 other row goes to an eigensolve, so the band and the degenerate fraction
-are exactly those of the eigenvalues.  Per-chunk (count, mean, M2)
-summaries are merged with ``measures``' Chan-Golub-LeVeque update, which
-keeps the variance free of the cancellation a sum of squares suffers when
-the mean dominates.  Each point is studied in one power-of-two frame: its
+are exactly those of the eigenvalues.  A point's (K, Q) means and std
+errors come from one ``measures.estimate`` over chunks of _CHUNK samples,
+each chunk's (K, Q, m) values filled by one index pass per k, so the
+variance is free of the cancellation a sum of squares suffers when the
+mean dominates.  Each point is studied in one power-of-two frame: its
 forms and the band are scaled by 2^-s, with 2^s just above its largest
 coefficient, and its mean and std error are scaled back by 2^ns.  Scaling
 by a power of two is exact and 1_{index q} det is homogeneous of degree n,
@@ -77,7 +78,7 @@ from .curvature import CurvatureTensor, _apply_tensor, _matmul, _outer_coords
 from .hermitian import (HermitianForm, _check_tol, _herm_coords, _herm_matrices,
                         _index_dets, _symmetrized)
 from .jet_combinatorics import _check_exact_cost, harmonic, ikrn_exact
-from .measures import block_moments, merge_moments
+from .measures import estimate
 from .rng import stream
 
 # g_k_batch and sample_sphere_batch are not called here: bench/tracing.py
@@ -94,7 +95,6 @@ __all__ = [
     "reduced_morse_integral",
     "full_morse_constant",
     "convergence_study",
-    "default_workers",
 ]
 
 # fixed inner-MC chunk so that chunked accumulation (and hence the floating
@@ -107,18 +107,12 @@ _CHUNK = 16384
 _DRAW_BLOCK = 2**15
 
 
-def default_workers() -> int:
-    """Worker count from ``JETMORSE_THREADS``, or the number of CPUs when unset."""
-    env = os.environ.get("JETMORSE_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"JETMORSE_THREADS must be an integer >= 1, got {env!r}")
-    return workers
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (``os.cpu_count`` also counts the host's CPUs outside it)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -347,10 +341,11 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray, k_list: Sequence[int],
 
 
 def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
-    """Per-q (mean, M2) of 1_{index q} det over a chunk of forms, and the degenerate count.
+    """The (len(q_list), m) values of 1_{index q} det over a chunk of forms,
+    and the degenerate count.
 
     ``forms`` has shape (m, n*n): coordinates of m sampled forms (see
-    :func:`_herm_coords`); M2 is the sum of squared deviations from the mean.
+    :func:`_herm_coords`).
     Each row A is factored U* D U (LDL* without pivoting, U unit upper
     triangular, pivots d_j) in these coordinates, and the same pass sums
     B = sum_j |d_j| (1 + sum_{k>j} |U_jk|^2) >= || |U*| |D| |U| ||_F.  With
@@ -415,18 +410,19 @@ def _index_stats(forms: np.ndarray, q_list: Sequence[int], tol: float):
     if rest.size:
         minus[rest], det[rest] = _index_dets(
             np.linalg.eigvalsh(_herm_matrices(forms[rest], n)), tol)
-    _, mean, m2 = block_moments(np.where(minus == np.array(q_list)[:, None], det, 0.0))
-    return list(zip(mean.tolist(), m2.tolist())), int(np.count_nonzero(minus < 0))
+    return (np.where(minus == np.array(q_list)[:, None], det, 0.0),
+            int(np.count_nonzero(minus < 0)))
 
 
 def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     """Inner MC for one quadrature point, all k and q at once.
 
-    Returns ({(k, q): (mean, se)}, {k: degenerate_fraction}).  The kernel
-    runs in the point's power-of-two frame (see the module docstring): forms
-    and tol are scaled by 2^-s, with 2^s just above the largest tensor or
-    twist coefficient, and mean and std error back by 2^ns.  Overflow on the
-    way back reads inf and is not warned about, since :func:`_run_points`
+    Returns (mean, std error, degenerate fraction), arrays of shapes
+    (K, Q), (K, Q) and (K,) over k_list and q_list.  The kernel runs in the
+    point's power-of-two frame (see the module docstring): forms and tol are
+    scaled by 2^-s, with 2^s just above the largest tensor or twist
+    coefficient, and mean and std error back by 2^ns.  Overflow on the way
+    back reads inf and is not warned about, since :func:`_run_points`
     rejects non-finite results; the errstate is set here because it does
     not carry into threads.
     """
@@ -436,27 +432,23 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     k_max = max(k_list)
     block = max(1, _DRAW_BLOCK // k_max)
     rng = stream(seed, "morse", point.id)
-    acc = {(k, q): (0, 0.0, 0.0) for k in k_list for q in q_list}
-    degen = dict.fromkeys(k_list, 0)
-    done = 0
+    degen = np.zeros(len(k_list), dtype=np.int64)
+
+    def chunk(first, m):
+        forms = np.empty((n * n, len(k_list), m))
+        for lo in range(0, m, block):
+            v = rng.standard_normal((min(block, m - lo), k_max, 2 * r)).view(complex)
+            forms[:, :, lo:lo + block] = _chunk_forms(point, v, k_list, s)
+        vals = np.empty((len(k_list), len(q_list), m))
+        for j in range(len(k_list)):
+            vals[j], d = _index_stats(forms[:, j].T, q_list, tol)
+            degen[j] += d
+        return vals
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tol = float(np.ldexp(tol, -s))
-        while done < n_samples:
-            m = min(_CHUNK, n_samples - done)
-            forms = np.empty((n * n, len(k_list), m))
-            for lo in range(0, m, block):
-                v = rng.standard_normal((min(block, m - lo), k_max, 2 * r)).view(complex)
-                forms[:, :, lo:lo + block] = _chunk_forms(point, v, k_list, s)
-            for j, k in enumerate(k_list):
-                stats, d = _index_stats(forms[:, j].T, q_list, tol)
-                degen[k] += d
-                for q, (mean, m2) in zip(q_list, stats):
-                    acc[(k, q)] = merge_moments(acc[(k, q)], (m, mean, m2))
-            done += m
-        out = {key: tuple(np.ldexp([mean, math.sqrt(m2 / (n_samples - 1) / n_samples)],
-                                   n * s).tolist())
-               for key, (_, mean, m2) in acc.items()}
-    return out, {k: degen[k] / n_samples for k in k_list}
+        mean, se = estimate(chunk, n_samples, _CHUNK)
+        return np.ldexp(mean, n * s), np.ldexp(se, n * s), degen / n_samples
 
 
 def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
@@ -465,18 +457,15 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
     Raises FloatingPointError at the first (k, q), k-major, whose estimate
     or std error is not finite.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     _check_tol(tol)
     if not k_list:
         raise ValueError("k_list must name at least one k")
     if min(k_list) < 1:
         raise ValueError("k must be >= 1")
-    if workers is None:
-        workers = default_workers()
-    elif workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1, len(M.points))
+    cpus = _usable_cpus()
+    workers = min(workers or cpus, cpus, len(M.points))
     args = (k_list, q_list, n_samples, seed, tol)
     if workers == 1:
         results = [_point_study(p, *args) for p in M.points]
@@ -484,16 +473,17 @@ def _run_points(M, k_list, q_list, n_samples, seed, tol, workers):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_point_study, p, *args) for p in M.points]
             results = [f.result() for f in futures]
+    w = np.array([p.weight for p in M.points])
+    means, ses, degens = (np.stack(a) for a in zip(*results))
+    with np.errstate(over="ignore"):
+        means *= w[:, None, None]
+        ses *= w[:, None, None]
     est, se, degen = {}, {}, {}
-    for k in k_list:
-        degen[k] = math.fsum(p.weight * dfrac[k]
-                             for p, (_, dfrac) in zip(M.points, results)) / M.total_volume
-        for q in q_list:
-            est[(k, q)] = math.fsum(
-                p.weight * stats[(k, q)][0]
-                for p, (stats, _) in zip(M.points, results))
-            t = np.array([p.weight * stats[(k, q)][1]
-                          for p, (stats, _) in zip(M.points, results)])
+    for j, k in enumerate(k_list):
+        degen[k] = math.fsum(w * degens[:, j]) / M.total_volume
+        for i, q in enumerate(q_list):
+            est[(k, q)] = math.fsum(means[:, j, i])
+            t = ses[:, j, i]
             # root-sum-square in the frame of the largest term, so no square
             # overflows or underflows; a result past the float range reads inf
             e = math.frexp(t.max())[1]

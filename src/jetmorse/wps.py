@@ -17,10 +17,11 @@ One estimator serves both :func:`integrate_fiber` and
 :func:`integrate_fiber_limit`: they differ in the stream key and in the
 draw, which for the limit is the spheres alone, with weight 1 (at k = 1 the
 finite-p draw reduces to the same: the one-point simplex draws nothing).
-Samples run in blocks of _BLOCK: each block draws its simplex points, then
-its spheres in block order, calls the integrand, checks its values and is
-merged into one (count, mean, M2) summary (see ``measures``), so memory stays
-at one block for any sample count.
+Samples run in blocks of _BLOCK through ``measures.estimate``: each block
+draws its simplex points, then its spheres in block order, calls the
+integrand, checks its values and returns them weighted, so memory stays at
+one block for any sample count.  A nonzero estimate or a closed-form volume
+below the smallest normal float raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import (block_moments, dirichlet_integral, merge_moments, sample_nu_batch,
-                       sample_sphere_batch)
+from .measures import dirichlet_integral, estimate, sample_nu_batch, sample_sphere_batch
 from .rng import stream
 
 __all__ = [
@@ -122,25 +122,26 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
 
 
 def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool) -> tuple:
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     volume = volume_closed_form(w)  # at most 1, so only an underflow fails here
     if not (scale := float(volume)) >= np.finfo(float).smallest_normal:
         raise FloatingPointError(f"closed-form volume 10^{-math.log10(volume.denominator):.1f}"
                                  " is below the smallest normal float")
     rng = stream(seed, "fiber", "limit" if limit else "p", w.a, w.r)
-    acc = (0, 0.0, 0.0)
-    for first in range(0, n_samples, _BLOCK):
-        m = min(_BLOCK, n_samples - first)
+
+    def weighted(first, m):
         weight, blocks = _sample_blocks(w, m, rng, limit)
         vals = np.fromiter(map(f, zip(*blocks)), float, count=m)
         bad = ~np.isfinite(vals)
         if bad.any():
             i = int(bad.argmax())
             raise FiberEvaluationError(first + i, tuple(b[i] for b in blocks))
-        acc = merge_moments(acc, block_moments(vals * weight))
-    _, mean, m2 = acc
-    return float(mean) * scale, math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples) * scale
+        return vals * weight
+
+    mean, se = estimate(weighted, n_samples, _BLOCK)
+    est = float(mean) * scale
+    if mean and not abs(est) >= np.finfo(float).smallest_normal:
+        raise FloatingPointError(f"estimate {est!r} is below the smallest normal float")
+    return est, float(se) * scale
 
 
 def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
@@ -153,7 +154,8 @@ def integrate_fiber(w: WeightSpec, f: Callable, n_samples: int, seed: int
     return a real scalar.  Values are checked after each block of 2^12
     samples: a non-finite one raises :class:`FiberEvaluationError` at its
     first index, and no later block is drawn or evaluated.  A closed-form
-    volume below the smallest normal float raises ``FloatingPointError``.
+    volume or a nonzero estimate below the smallest normal float raises
+    ``FloatingPointError``.
     """
     return _estimate(w, f, n_samples, seed, limit=False)
 

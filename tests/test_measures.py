@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetmorse.measures import (block_moments, dirichlet_integral, merge_moments, nu_moment,
-                               sample_nu_batch, sample_sphere_batch)
+from jetmorse.measures import (block_moments, dirichlet_integral, estimate, merge_moments,
+                               nu_moment, sample_nu_batch, sample_sphere_batch)
 from jetmorse.rng import stream
 
 
@@ -94,8 +94,40 @@ def test_moments_merge_matches_numpy(sizes):
         assert math.isclose(math.sqrt(m2 / (n - 1)), want.std(ddof=1), rel_tol=1e-14)
 
 
-def test_one_block_keeps_numpy_bits():
-    vals = stream(4, "mse").standard_normal(3000) + 5.0
-    count, mean, m2 = merge_moments((0, 0.0, 0.0), block_moments(vals.copy()))
-    assert (count, mean) == (3000, vals.mean())
-    assert math.sqrt(m2 / (count - 1)) == vals.std(ddof=1)
+def _estimate_of(vals, block):
+    """:func:`estimate` over the last axis of ``vals``, in blocks of ``block``,
+    recording the calls it makes."""
+    calls = []
+
+    def values(first, m):
+        calls.append((first, m))
+        return vals[..., first:first + m].copy()
+
+    return (*estimate(values, vals.shape[-1], block), calls)
+
+
+@pytest.mark.parametrize("shape, block", [
+    ((5000,), 4096),      # ragged last block
+    ((5000,), 5000),      # one block
+    ((37,), 1),           # block 1
+    ((2,), 4096),         # n = 2
+    ((4, 3, 3000), 1024),  # the (K, Q, m) blocks of a morse chunk, ragged
+    ((2, 3, 2), 1),
+])
+def test_estimate_matches_numpy(shape, block):
+    vals = stream(5, "estimate", *shape).standard_normal(shape) * 0.5 + 7.0
+    n = shape[-1]
+    mean, se, calls = _estimate_of(vals, block)
+    assert calls == [(lo, min(block, n - lo)) for lo in range(0, n, block)]
+    assert np.shape(mean) == np.shape(se) == shape[:-1]
+    np.testing.assert_allclose(mean, vals.mean(axis=-1), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(se, vals.std(axis=-1, ddof=1) / math.sqrt(n), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_estimate_needs_two_samples_before_any_call(n):
+    def values(first, m):
+        raise AssertionError("no block may be asked for")
+
+    with pytest.raises(ValueError, match=">= 2"):
+        estimate(values, n, 16)

@@ -156,10 +156,10 @@ def test_batched_sampler_matches_loop(a, r, limit):
 # of the p -> infinity limit and of the k = 1 branch (numpy 2.4 / OpenBLAS 0.3
 # on x86-64)
 @pytest.mark.parametrize("a, r, limit, digest", [
-    ((1,), (3,), False, "58b4e8172ae41210da33836db3eabd21"),
-    ((1,), (3,), True, "321c0fa1261bf744998194ca8ad213d9"),
-    ((1, 2), (2, 1), True, "6702237219510b879d94f0a477412a66"),
-    ((2, 3, 5), (1, 2, 3), True, "56eb049ca0b46ab7f83487c39e462cfb"),
+    ((1,), (3,), False, "d0242135382391b1d58f62fd96de9f2c"),
+    ((1,), (3,), True, "4f0d0e08099a4d7ca581f7949dad9611"),
+    ((1, 2), (2, 1), True, "0d66aaceb9263d66b0b5937836c73075"),
+    ((2, 3, 5), (1, 2, 3), True, "3ac41204e2980e34297539f8a1561424"),
 ])
 def test_fiber_estimate_bytes_pinned(a, r, limit, digest):
     est, se = _integrate(WeightSpec(a, r), _blockwise, 3000, 17, limit)
@@ -280,3 +280,14 @@ def test_volume_below_normal_floats_raises_before_sampling(limit, monkeypatch):
         run(WeightSpec((1, 2**1023), (1, 1)), lambda z: 1.0, 100, 1)  # volume 2^-1023
     monkeypatch.undo()  # the smallest normal volume, 2^-1022, still runs
     assert run(WeightSpec((1, 2**1022), (1, 1)), lambda z: 1.0, 10, 1) == (2.0**-1022, 0.0)
+
+
+@pytest.mark.parametrize("limit", [False, True])
+@pytest.mark.parametrize("value", [0.5, -2.0**-60])
+def test_estimate_below_normal_floats_raises(limit, value):
+    # a nonzero mean times the smallest normal volume, 2^-1022, used to be
+    # returned as a subnormal or as 0.0
+    run = integrate_fiber_limit if limit else integrate_fiber
+    with pytest.raises(FloatingPointError, match=r"^estimate -?\d.* below the smallest normal"):
+        run(WeightSpec((1, 2**1022), (1, 1)), lambda z: value, 10, 1)
+    assert run(WeightSpec((1, 2**1022), (1, 1)), lambda z: 0.0, 10, 1) == (0.0, 0.0)
