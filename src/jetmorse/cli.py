@@ -25,8 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .jet_combinatorics import (ResourceLimitError, epsilon_ratio, ikrn_asymptotic,
-                                ikrn_bounds, ikrn_exact, inverse_square_sum)
+from .jet_combinatorics import (MC_VARIATE_CEILING, ResourceLimitError, epsilon_ratio,
+                                ikrn_asymptotic, ikrn_bounds, ikrn_exact,
+                                inverse_square_sum)
 from .measures import estimate, sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
 from .morse_mc import _DRAW_BLOCK, _fmt, _int_text, convergence_study
@@ -88,11 +89,18 @@ def cmd_wps_volume(args) -> int:
 
 def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
     """(mean, std error) of (sum_s x_s / s)^n over simplex draws x, drawn and
-    reduced in blocks of _DRAW_BLOCK // k samples in stream order."""
+    reduced in blocks of _DRAW_BLOCK // k samples in stream order.  One
+    sample's k r variates and the run's k r samples are checked against
+    ``MC_VARIATE_CEILING`` before anything is allocated or drawn."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
+    variates = k * r * max(samples, 1)  # at least one sample's
+    if variates > MC_VARIATE_CEILING:
+        raise ResourceLimitError(
+            f"{samples} samples at k={k}, r={r} draw {variates} variates, "
+            f"above the ceiling of {MC_VARIATE_CEILING}")
     rng = stream(seed, "ikrn-mc", k, r, n)
     w = 1.0 / np.arange(1, k + 1)
     mean, se = estimate(lambda first, m: (sample_nu_batch(k, r, m, rng) @ w) ** n,

@@ -40,13 +40,15 @@ take 127k/95k and 32k/95k bits).  The ``Fraction`` is then built from the
 reduced pair without one more gcd.  D^m has about m k log2(e) bits, and the recurrence
 to order m makes about m^2/2 products of integers that large; a request
 above ``EXACT_BIT_CEILING`` or ``EXACT_WORK_CEILING`` raises
-:class:`ResourceLimitError` before any work (the CLI exits 3).  The final
-square roots and logarithm are stateless ``mpmath.libmp`` calls at 136 bits,
-and the bound comparison is read off their two rounded results.
+:class:`ResourceLimitError` before any work (the CLI exits 3).  The quotient's
+square root is an integer square root to at least 136 bits, the bound's root,
+logarithm and quotient are calls on one 45-digit ``decimal.Context`` of this
+module, and the bound comparison is read off their two rounded results.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import numbers
 from collections.abc import Sequence
@@ -54,12 +56,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_sqrt, to_float
-
 __all__ = [
     "EULER_GAMMA",
     "EXACT_BIT_CEILING",
     "EXACT_WORK_CEILING",
+    "MC_VARIATE_CEILING",
     "ResourceLimitError",
     "harmonic",
     "inverse_square_sum",
@@ -85,6 +86,13 @@ EXACT_BIT_CEILING = 1 << 20
 # would need 2.2e13 and take 23 s; k = 2 reaches the ceiling near n = 1750.
 EXACT_WORK_CEILING = 1 << 40
 
+# Largest admitted k r variates of one simplex sample, and k r samples of a
+# Monte-Carlo run of I(k, r, n) (ikrn --mode mc).  The draws take 25-85 ns
+# per sample and coordinate on a 2-CPU Xeon, so a run stays under about 6 s;
+# the largest admitted sample (k = 2^25, r = 1, 2 samples) holds three arrays
+# of 256 MiB.  k = 10^8 at 10 samples (800 MB per array) ran past 20 s.
+MC_VARIATE_CEILING = 1 << 26
+
 # Largest range of leaves that _split sums directly instead of splitting: below
 # it the merges of small integers cost more in interpreter overhead than the
 # split saves in integer sizes.  On a 2-CPU Xeon, _power_numerators at
@@ -92,8 +100,16 @@ EXACT_WORK_CEILING = 1 << 40
 # 64 and up to 1.9x slower at 8 or 128.
 _LEAF_RUN = 32
 
-_PREC = 136  # epsilon_ratio's precision in bits, that of 40 decimal digits
-_ROOT_31_15 = mpf_sqrt(mpf_div(from_int(31), from_int(15), _PREC, "n"), _PREC, "n")
+_PREC = 136  # bits of epsilon_ratio's integer square root, those of 40 decimal digits
+# the bound's arithmetic: 45 digits (149 bits), each result rounded to
+# nearest.  The exponent range and traps are given too, so no setting that
+# could change a result is copied from decimal's DefaultContext; the calls
+# only set its Inexact and Rounded flags, which nothing reads.
+_BOUND_CTX = decimal.Context(prec=45, rounding=decimal.ROUND_HALF_EVEN,
+                             Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                             traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                    decimal.Overflow])
+_ROOT_31_15 = _BOUND_CTX.sqrt(_BOUND_CTX.divide(31, 15))
 
 
 class ResourceLimitError(RuntimeError):
@@ -334,9 +350,10 @@ class EpsilonRatio:
     """The exact error quotient and its closed-form bound.
 
     ``exact`` and ``paper_bound`` = sqrt(31/15)/log k (valid for k >= e^{5n-5})
-    are the floats nearest to 136-bit values of the square root of the exact
-    rational ``exact_squared`` and of the bound; ``within_bound`` certifies
-    that the true quotient is below the true bound (see :func:`epsilon_ratio`).
+    are the floats nearest to a 136-bit value of the square root of the exact
+    rational ``exact_squared`` and to a 45-digit value of the bound;
+    ``within_bound`` certifies that the true quotient is below the true bound
+    (see :func:`epsilon_ratio`).
     """
 
     exact: float
@@ -363,13 +380,17 @@ def epsilon_ratio(k: int, r: int, n: int) -> EpsilonRatio:
     exact_sq = _reduced(a * top * d * d, b * bottom,
                         a * b * math.gcd(top, gn) * math.gcd(d, gn))
 
-    # each libmp call rounds to nearest at _PREC bits (mpf_log to within an
-    # ulp), so both 136-bit results lie within 2^-130 of the truth, relative,
-    # far inside half the gap from a float to either neighbour.  The nearest
-    # float's neighbours thus bracket the truth strictly, and within_bound is
+    # The root: s = isqrt(floor(x 4^h / y)) is floor(2^h sqrt(x/y)), and h
+    # makes s >= 2^(_PREC-1), so s / 2^h lies within 2^-135 of sqrt(x/y),
+    # relative.  The bound: each of the four calls on _BOUND_CTX rounds to
+    # nearest at 45 digits, so its decimal lies within 2.5e-44 < 2^-144 of the
+    # truth, relative.  Both errors are far inside half the gap from a float to
+    # either neighbour, and s / 2^h and float(Decimal) round to nearest, so each
+    # float's neighbours bracket its true value strictly, and within_bound is
     # exact < nextafter(exact, inf) <= nextafter(bound, -inf) < bound.
-    sq = mpf_div(from_int(exact_sq.numerator), from_int(exact_sq.denominator), _PREC, "n")
-    exact = to_float(mpf_sqrt(sq, _PREC, "n"), rnd="n")
-    bound = to_float(mpf_div(_ROOT_31_15, mpf_log(from_int(k), _PREC, "n"), _PREC, "n"), rnd="n")
+    x, y = exact_sq.numerator, exact_sq.denominator
+    h = max(0, (2 * _PREC - x.bit_length() + y.bit_length()) // 2)
+    exact = math.isqrt((x << 2 * h) // y) / (1 << h)
+    bound = float(_BOUND_CTX.divide(_ROOT_31_15, _BOUND_CTX.ln(k)))
     within = math.nextafter(exact, math.inf) <= math.nextafter(bound, -math.inf)
     return EpsilonRatio(exact, exact_sq, bound, within)

@@ -30,8 +30,12 @@ def _derive_key(seed: int, path: tuple) -> int:
 def stream(seed: int, *path) -> np.random.Generator:
     """Return a fresh deterministic generator keyed by ``(seed, *path)``.
 
-    Identical arguments always yield a generator producing identical draws;
-    distinct paths yield independent streams.  Safe to call from any number
-    of workers in any order.
+    Identical arguments always yield a generator producing identical draws,
+    and paths whose parts differ as text yield independent streams.  Parts
+    are keyed by ``str(part)`` joined with ``/``, so paths equal as text
+    share one stream: ``stream(s, 1)`` and ``stream(s, "1")``, ``stream(s,
+    (1, 2))`` and ``stream(s, "(1, 2)")``, and ``stream(s, "a/b")`` and
+    ``stream(s, "a", "b")``.  Safe to call from any number of workers in any
+    order.
     """
     return np.random.Generator(np.random.Philox(key=_derive_key(seed, path)))

@@ -523,6 +523,21 @@ def test_ikrn_mc_memory_bounded_in_samples():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("k, samples", [(10**8, 10), (10**3, 10**6), (2**26 + 1, 1)],
+                         ids=["one-sample-800MB", "run-1e9", "samples1"])
+def test_ikrn_mc_past_variate_ceiling_exit3_before_drawing(k, samples, monkeypatch, capsys):
+    # k = 10^8 built 800 MB arrays per sample and ran past a 20 s timeout
+    def reached(*args):
+        raise AssertionError("sample_nu_batch reached")
+
+    monkeypatch.setattr(cli, "sample_nu_batch", reached)
+    rc = main(["ikrn", "--k", str(k), "--r", "1", "--n", "1", "--mode", "mc",
+               "--samples", str(samples), "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == "" and err.startswith("resource ceiling:")
+
+
 def test_memory_error_exit3(monkeypatch, capsys):
     import jetmorse.cli as cli
 

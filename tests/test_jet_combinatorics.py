@@ -1,10 +1,10 @@
+import decimal
 import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,29 +149,53 @@ def test_epsilon_ratio_floats_pinned(k, r, n, exact, bound):
     assert (e.exact.hex(), e.paper_bound.hex(), e.within_bound) == (exact, bound, True)
 
 
-def test_epsilon_ratio_ignores_caller_mpmath_state(monkeypatch):
-    # the interval verdict used to run at mpmath.iv's global precision, which
-    # reads False here; neither setting may be read or changed
+def _hostile(ctx):
+    # caller settings that would change the bound, or raise, if it read them:
+    # three digits, rounded down, and Inexact trapped
+    ctx.prec, ctx.rounding = 3, decimal.ROUND_FLOOR
+    ctx.traps[decimal.Inexact] = True
+    ctx.clear_flags()
+
+
+def _untouched(ctx):
+    return (decimal.getcontext() is ctx and ctx.prec == 3
+            and ctx.rounding == decimal.ROUND_FLOOR and ctx.traps[decimal.Inexact]
+            and not any(ctx.flags.values()))
+
+
+def test_epsilon_ratio_ignores_caller_decimal_context():
+    # the bound runs on the module's own decimal context: the caller's is
+    # neither read nor changed, flags included
     want = epsilon_ratio(200, 1, 2)
-    monkeypatch.setattr(mpmath.iv, "prec", 2)
-    monkeypatch.setattr(mpmath.mp, "dps", 5)
-    assert epsilon_ratio(200, 1, 2) == want
-    assert (mpmath.iv.prec, mpmath.mp.dps) == (2, 5)
+    with decimal.localcontext() as ctx:
+        _hostile(ctx)
+        assert epsilon_ratio(200, 1, 2) == want
+        assert _untouched(ctx)
 
 
-def test_epsilon_ratio_thread_safe(monkeypatch):
-    # two threads used to interleave the save and restore of mpmath's global
-    # precision: a result changed in its last bit, or mp.prec was left at 136
+def test_epsilon_ratio_thread_safe():
+    # two pool threads and the caller, each under a hostile decimal context,
+    # run epsilon_ratio at once; mpmath's global precision, saved and restored
+    # around each call, used to change a result in its last bit here
     cases = [(200, 1, 2), (150, 2, 2), (404, 1, 3), (97, 3, 2), (1000, 1, 2), (60, 2, 3)]
     want = [epsilon_ratio(*c) for c in cases]
-    monkeypatch.setattr(mpmath.mp, "prec", 53)
+
+    def call(c):
+        ctx = decimal.getcontext()
+        e = epsilon_ratio(*c)
+        assert _untouched(ctx)
+        return e
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # switch threads often
     try:
-        with ThreadPoolExecutor(2) as pool:
+        with (decimal.localcontext() as ctx,
+              ThreadPoolExecutor(2, initializer=lambda: _hostile(decimal.getcontext())) as pool):
+            _hostile(ctx)
             for _ in range(300):
-                assert list(pool.map(lambda c: epsilon_ratio(*c), cases)) == want
-                assert mpmath.mp.prec == 53
+                results = pool.map(call, cases)
+                assert [call(c) for c in cases] == want
+                assert list(results) == want
     finally:
         sys.setswitchinterval(interval)
 

@@ -1,8 +1,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -19,6 +22,19 @@ def test_public_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_cli_imports_numpy_and_stdlib_alone():
+    # every command and bench workload imports jetmorse.cli; mpmath used to
+    # come with it for two floats of epsilon_ratio, at 3.9 MB of resident memory
+    code = ("import sys; before = set(sys.modules); import jetmorse.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names)), 'mpmath' in sys.modules)")
+    src = str(pathlib.Path(jetmorse.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "['jetmorse', 'numpy'] False\n"
 
 
 # imported only so that bench/tracing.py can wrap them by name
