@@ -19,11 +19,11 @@ Each form eigensolves once and keeps its read-only spectrum
 lemma's inertia as Python scalars: the index at tolerance 0 and the
 determinant through :func:`_index_dets`, and the norm max |lambda_i| read off
 the two ends of the ascending spectrum.
-:func:`det_diff_bound_holds` eigensolves A - B directly, without building a
-form for it, and only when the lemma's left side is nonzero or the slack
-negative: with ``lhs == 0`` and ``slack >= 0`` the bound holds for every
-right side, so the check returns True after the dimension, q and finiteness
-checks.
+:func:`det_diff_bound_holds` compares with the fixed floating slack
+``_DET_DIFF_SLACK`` and eigensolves A - B directly, without building a form
+for it, and only when the lemma's left side is nonzero: with ``lhs == 0``
+the bound holds for every right side, so the check returns True after the
+dimension, q and finiteness checks.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+_DET_DIFF_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,11 @@ def operator_norm(a: HermitianForm) -> float:
     return a._inertia[2]
 
 
-def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int,
-                         slack: float = 1e-9) -> bool:
+def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int) -> bool:
     """Check |1_{A,q} det A - 1_{B,q} det B| <= ||A-B|| sum ||A||^i ||B||^{n-1-i}.
 
     The inequality is a theorem for exact signatures (zero tolerance); we
-    evaluate the indicators at tol=0 and allow a small floating slack.
+    evaluate the indicators at tol=0 and allow the slack ``_DET_DIFF_SLACK``.
     """
     n = a.dim
     if n != b.dim:
@@ -182,7 +182,7 @@ def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int,
     d = a.entries - b.entries
     if not np.isfinite(d).all():
         raise ValueError("entries must be finite")
-    if lhs == 0 and slack >= 0:
+    if lhs == 0:
         return True  # 0 <= rhs + slack max(1, rhs) for every rhs >= 0
     # A - B is hermitian by construction and is eigensolved once, without a form
     diff = _norm(np.linalg.eigvalsh(d).tolist())
@@ -190,7 +190,7 @@ def det_diff_bound_holds(a: HermitianForm, b: HermitianForm, q: int,
         rhs = diff * sum(na**i * nb ** (n - 1 - i) for i in range(n))
     except OverflowError:  # float ** int raises past the float range, * gives inf
         rhs = math.inf
-    return lhs <= rhs + slack * max(1.0, rhs)
+    return lhs <= rhs + _DET_DIFF_SLACK * max(1.0, rhs)
 
 
 def sphere_second_moment(a: HermitianForm) -> float:

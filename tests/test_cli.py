@@ -206,8 +206,8 @@ TWISTED = json.dumps({"type": "explicit", "points": [
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("model, digest", [
-    (MODEL, "41f23e291873aaa50b2939ceecba1d3e"),
-    (TWISTED, "dca8cf50aea66ef19618ca8e612a58f8"),
+    (MODEL, "7542a2886825213feb948b628514fd9f"),
+    (TWISTED, "4b75168ed0f66c6bd71ea935837319ce"),
 ])
 def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
     out = str(tmp_path / "m")
@@ -216,6 +216,25 @@ def test_morse_output_bytes_pinned(model, digest, workers, tmp_path, capsys):
                  "--workers", workers]) == 0
     data = (tmp_path / "m.csv").read_bytes() + (tmp_path / "m.json").read_bytes()
     assert _digest(data) == digest
+
+
+@pytest.mark.parametrize("model", [MODEL, TWISTED])
+def test_morse_json_rows_are_csv_rows(model, tmp_path):
+    # a JSON row holds exactly the CSV columns, and each k's exact constant
+    # is written once, beside the rows
+    out = str(tmp_path / "m")
+    assert main(["morse", "--model", model, "--k-list", "3,5", "--samples", "300",
+                 "--seed", "3", "--out", out]) == 0
+    header, *lines = (tmp_path / "m.csv").read_text().splitlines()
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert len(doc["rows"]) == len(lines) == 6
+    for row, line in zip(doc["rows"], lines):
+        csv_row = dict(zip(header.split(","), line.split(",")))
+        assert "full_constant" not in row and row.keys() == csv_row.keys()
+        for name, text in csv_row.items():
+            assert row[name] == (int(text) if name in ("k", "q") else float(text))
+    assert [(c["k"], Fraction(int(c["num"]), int(c["den"]))) for c in doc["full_constants"]] == [
+        (k, full_morse_constant(2, k, 2)[0]) for k in (3, 5)]  # n = r = 2
 
 
 def test_morse_json_is_strict_at_k_1(tmp_path):
@@ -487,7 +506,8 @@ def test_morse_paper_scale_k_writes_both_files(n, r, k, tmp_path):
     assert main(["morse", "--model", model, "--k-list", str(k), "--samples", "16",
                  "--seed", "1", "--out", str(out)]) == 0
     assert len((tmp_path / "m.csv").read_text().splitlines()) == n + 2
-    const = json.loads((tmp_path / "m.json").read_text())["rows"][0]["full_constant"]
+    [const] = json.loads((tmp_path / "m.json").read_text())["full_constants"]
+    assert const["k"] == k
     value = Fraction(int(Decimal(const["num"])), int(Decimal(const["den"])))
     assert value == full_morse_constant(n, k, r)[0]
 

@@ -83,7 +83,7 @@ def test_eta_integral_overflow_raises_without_warning(monkeypatch):
     monkeypatch.setattr(morse_mc, "_run_points",
                         lambda *args: ({(2, 2): 0.0}, {(2, 2): 0.0}, {2: 0.0}))
     with pytest.raises(FloatingPointError, match="q=2: non-finite eta integral inf"):
-        convergence_study(M, [2], 2, 100, 1, 1e-9)
+        convergence_study(M, [2], [2], 100, 1, 1e-9)
 
 
 def test_eta_integral_rejects_non_finite_entries():
@@ -287,8 +287,8 @@ def test_worker_count_determinism():
 def test_degenerate_fraction_shrinks_with_tol():
     t = random_tensor(2, 2, 1.0, 3)
     M = _single(t)
-    rep_loose = convergence_study(M, [3], 0, 20000, 5, 1e-2)
-    rep_tight = convergence_study(M, [3], 0, 20000, 5, 1e-3)
+    rep_loose = convergence_study(M, [3], [0], 20000, 5, 1e-2)
+    rep_tight = convergence_study(M, [3], [0], 20000, 5, 1e-3)
     assert rep_tight.rows[0].degenerate_fraction <= rep_loose.rows[0].degenerate_fraction
 
 
@@ -322,8 +322,10 @@ def test_convergence_study_report_shape():
     assert csv.splitlines()[0] == ("k,q,reduced_estimate,std_error,eta_integral,"
                                    "normalized_deviation,degenerate_fraction,"
                                    "log_full_constant")
+    assert rep.full_constants == {k: full_morse_constant(2, k, 2)[0] for k in (2, 4)}
     doc = rep.to_json_dict()
-    assert doc["rows"][0]["full_constant"]["den"].isdigit()
+    assert [c["k"] for c in doc["full_constants"]] == [2, 4]
+    assert doc["full_constants"][0]["den"].isdigit()
 
 
 @pytest.mark.parametrize("twisted, k, n", [(False, 400_000, 3), (True, 800_000, 2)])
@@ -338,7 +340,7 @@ def test_convergence_study_refuses_exact_ceiling_before_sampling(twisted, k, n, 
 
     monkeypatch.setattr(morse_mc, "_run_points", fail)
     with pytest.raises(ResourceLimitError, match=f"order {1 if twisted else n} at k={k}"):
-        convergence_study(M, [2, k], 0, 256, 1, 1e-9)
+        convergence_study(M, [2, k], [0], 256, 1, 1e-9)
 
 
 def test_int_text_equals_str():
@@ -367,14 +369,14 @@ def test_json_converts_each_constant_once(monkeypatch):
     monkeypatch.setattr(morse_mc, "_int_text", lambda v: seen.append(v) or real(v))
     doc = rep.to_json_dict()
     assert len(seen) == 4  # numerator and denominator of two k
-    assert [r["full_constant"]["den"] for r in doc["rows"]] == [
-        str(r.full_constant.denominator) for r in rep.rows]
+    assert [(c["k"], c["num"], c["den"]) for c in doc["full_constants"]] == [
+        (k, str(c.numerator), str(c.denominator)) for k, c in rep.full_constants.items()]
 
 
 def test_convergence_study_rejects_unsorted():
     M = _single(random_tensor(1, 1, 1.0, 2))
     with pytest.raises(ValueError):
-        convergence_study(M, [4, 2], 0, 100, 1, 1e-9)
+        convergence_study(M, [4, 2], [0], 100, 1, 1e-9)
 
 
 def test_convergence_study_rejects_bad_k_and_tol():
@@ -383,13 +385,18 @@ def test_convergence_study_rejects_bad_k_and_tol():
         reduced_morse_integral(M, 0, 0, 100, 1, 1e-9)
     for tol in (-1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
-            convergence_study(M, [2], 0, 100, 1, tol)
+            convergence_study(M, [2], [0], 100, 1, tol)
 
 
 def test_report_duplicate_keys_rejected():
     row = MorseRow(2, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        MorseReport((row, row))
+    with pytest.raises(ValueError, match="keyed uniquely"):
+        MorseReport((row, row), {2: Fraction(1)})
+    # a row whose k has no constant, and a constant of no row's k
+    for consts in ({}, {3: Fraction(1)}, {2: Fraction(1), 3: Fraction(1)}):
+        with pytest.raises(ValueError, match="one constant per k"):
+            MorseReport((row,), consts)
+    assert MorseReport((row,), {2: Fraction(1)}).full_constants == {2: 1}
 
 
 def test_twisted_study_deviation_uses_direct_scale():
@@ -399,7 +406,7 @@ def test_twisted_study_deviation_uses_direct_scale():
     M = _single(t, twist)
     # the deviation has a hump around k ~ 16 before the 1/log k decay sets
     # in, so compare a point on the hump with a point well past it
-    rep = convergence_study(M, [16, 512], 0, 40000, 7, 1e-9)
+    rep = convergence_study(M, [16, 512], [0], 40000, 7, 1e-9)
     want = eta_index_integral(M, 0, 1e-9)
     assert want == pytest.approx(1.0)
     for row in rep.rows:
