@@ -30,7 +30,7 @@ from .jet_combinatorics import (MC_VARIATE_CEILING, ResourceLimitError, epsilon_
                                 inverse_square_sum)
 from .measures import estimate, sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
-from .morse_mc import _DRAW_BLOCK, _fmt, _int_text, convergence_study
+from .morse_mc import _fmt, _int_text, convergence_study
 from .rng import stream
 from .wps import WeightSpec, integrate_fiber, volume_closed_form
 
@@ -38,6 +38,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
+
+# ``ikrn --mode mc`` draws blocks of _DRAW_BLOCK // k samples (at least 1),
+# so that its memory does not grow with k times the sample count; a sample is
+# k simplex coordinates at any r, so the block is counted in coordinates.
+_DRAW_BLOCK = 2**15
 
 
 def _rat(v: Fraction) -> str:

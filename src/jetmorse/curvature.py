@@ -16,8 +16,10 @@ From the tensor we build:
 
 Sampled forms live in the real hermitian coordinates that ``hermitian`` owns.
 This module owns the tensor map (:func:`_tensor_map`, a real (r*r, n*n)
-matrix): :func:`g_k_batch` and the ``morse_mc`` kernel both take fiber
-matrices to forms through :func:`_apply_tensor`.
+matrix built directly from c): :func:`g_k_batch` and the ``morse_mc``
+kernel both take fiber matrices (r*r, m) in coordinates to forms (n*n, m)
+as ``_matmul(_tensor_map(t).T, fiber)``; the kernel builds the map once
+per point.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import (HermitianForm, _herm_basis, _herm_coords, _herm_matrices,
-                        _symmetrized, _triu_pairs)
+from .hermitian import HermitianForm, _herm_coords, _herm_matrices, _symmetrized, _triu_pairs
 
 __all__ = [
     "CurvatureTensor",
@@ -95,10 +96,18 @@ def _outer_coords(u: np.ndarray) -> np.ndarray:
 
 
 def _tensor_map(t: CurvatureTensor) -> np.ndarray:
-    """(r*r, n*n) real matrix of H -> sum_ab c[i,j,a,b] H[a,b] in coordinates."""
-    n, r = t.n, t.r
-    images = _herm_basis(r) @ t.c.reshape(n * n, r * r).T
-    return _herm_coords(images.reshape(r * r, n, n))
+    """(r*r, n*n) real matrix of H -> sum_ab c[i,j,a,b] H[a,b] in coordinates.
+
+    Row x is the image of the fiber matrix with coordinates e_x: the diagonal
+    E_aa maps to c[:, :, a, a], and the pair (a, b) above the diagonal to
+    c_ab + c_ba for its real part and to i (c_ab - c_ba) for its imaginary
+    part, each then taken to the coordinates of ``hermitian``.  The map is
+    built in O(n^2 r^2) from c, with no (r*r, r*r) basis.
+    """
+    c = t.c.transpose(2, 3, 0, 1)
+    diag, (iu, ju) = np.arange(t.r), _triu_pairs(t.r)
+    upper, lower = c[iu, ju], c[ju, iu]
+    return _herm_coords(np.concatenate([c[diag, diag], upper + lower, 1j * (upper - lower)]))
 
 
 # Largest matrix product, in multiply-adds, handed to BLAS in one call.
@@ -124,11 +133,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_tensor(t: CurvatureTensor, fiber: np.ndarray) -> np.ndarray:
-    """Forms (n*n, m) in coordinates of m fiber matrices (r*r, m) in coordinates."""
-    return _matmul(_tensor_map(t).T, fiber)
-
-
 def g_k_batch(t: CurvatureTensor, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Sampled curvature forms of m draws (x, u); returns (m, n, n).
 
@@ -137,7 +141,7 @@ def g_k_batch(t: CurvatureTensor, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     weights = x / np.arange(1, x.shape[1] + 1)
     fiber = np.einsum("xms,ms->xm", _outer_coords(u), weights)
-    return _herm_matrices(_apply_tensor(t, fiber).T, t.n)
+    return _herm_matrices(_matmul(_tensor_map(t).T, fiber).T, t.n)
 
 
 def tensor_to_json(t: CurvatureTensor) -> str:

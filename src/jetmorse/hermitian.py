@@ -12,7 +12,9 @@ hermitian to ``_SYM_TOL`` and stores the exact mean 0.5 a + 0.5 a*.
 
 It also owns the real coordinates of hermitian matrices (:func:`_herm_coords`,
 inverse :func:`_herm_matrices`) that ``curvature`` and ``morse_mc`` share, and
-the index and determinant of stacked spectra (:func:`_index_dets`).
+the index and determinant of stacked spectra (:func:`_index_dets`).  No
+(d*d, d*d) basis of these coordinates is built: ``curvature`` maps each
+coordinate direction straight from the tensor's entries.
 
 Each form eigensolves once and keeps its read-only spectrum
 (:attr:`HermitianForm.spectrum`); from it, once per form, it caches the
@@ -125,14 +127,6 @@ def _herm_matrices(f: np.ndarray, d: int) -> np.ndarray:
     a[..., iu, ju] = off
     a[..., ju, iu] = off.conj()
     return a
-
-
-@lru_cache(maxsize=16)
-def _herm_basis(d: int) -> np.ndarray:
-    """(d*d, d*d) complex: row x is the flattened matrix with coordinates e_x."""
-    basis = _herm_matrices(np.eye(d * d), d).reshape(d * d, d * d)
-    basis.setflags(write=False)
-    return basis
 
 
 def eigenvalues(a: HermitianForm) -> np.ndarray:

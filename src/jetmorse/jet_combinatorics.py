@@ -51,6 +51,7 @@ from __future__ import annotations
 import decimal
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,10 +340,19 @@ def ikrn_bounds(k: int, r: int, n: int) -> tuple[Fraction, Fraction]:
 
 
 def ikrn_asymptotic(k: int, r: int, n: int) -> float:
-    """Leading large-k approximation (log k + gamma)^n / k^n."""
+    """Leading large-k approximation ((log k + gamma) / k)^n.
+
+    The quotient is below 1 for every k >= 1, so the power cannot overflow;
+    at n >= 1 a value below the smallest normal float raises
+    ``FloatingPointError``.
+    """
     if k < 1 or r < 1 or n < 0:
         raise ValueError("require k >= 1, r >= 1, n >= 0")
-    return (math.log(k) + EULER_GAMMA) ** n / float(k) ** n
+    value = ((math.log(k) + EULER_GAMMA) / k) ** n
+    if n and not value >= sys.float_info.min:
+        raise FloatingPointError(f"asymptotic value at k={k}, n={n} is below the "
+                                 "smallest normal float")
+    return value
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,12 @@ __all__ = [
     "estimate",
 ]
 
+# Bytes of draws (and, in ``morse``, outer-product planes) a Monte-Carlo kernel
+# holds per block: a block of ``morse`` samples and of fiber samples is sized so
+# that its arrays stay near a 2 MiB L2 cache with their temporaries, whatever
+# the rank r or the multiplicities.
+_BLOCK_BYTES = 3 << 19
+
 
 def sample_nu_batch(k: int, r: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw points of Delta_{k-1} with density (kr-1)! (prod x_s)^{r-1}/((r-1)!)^k.

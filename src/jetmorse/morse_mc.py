@@ -16,22 +16,24 @@ Kernel: each chunk of draws is processed once for every k of a study.
 Hermitian matrices are handled in the real coordinates that ``hermitian``
 owns (diagonal, then real and imaginary parts of the upper triangle), and
 the tensor is applied through ``curvature``'s tensor map, the same path as
-``curvature.g_k_batch``.  The draws are standard complex Gaussian vectors
-v_s in C^r.  By the polar identity, g_s = |v_s|^2 is a
-Gamma(r) variable independent of u_s = v_s / |v_s|, which is uniform on the
-unit sphere, and g_s u_s u_s* = v_s v_s*.  With x_s = g_s / G_k and
-G_k = sum_{s<=k} g_s, the fiber matrix of the sampled form is therefore
-(1/G_k) sum_{s<=k} v_s v_s* / s: one product of the outer-product
-coordinates with a fixed (k_max, 2K) weight matrix gives the weighted sums
-and the traces G_k for all k, and a second product with the tensor, mapped
-to those coordinates, gives all forms.  No gamma draw, no sphere
+``curvature.g_k_batch``; the map is built once per point.  The draws are
+standard complex Gaussian vectors v_s in C^r.  By the polar identity,
+g_s = |v_s|^2 is a Gamma(r) variable independent of u_s = v_s / |v_s|,
+which is uniform on the unit sphere, and g_s u_s u_s* = v_s v_s*.  With
+x_s = g_s / G_k and G_k = sum_{s<=k} g_s, the fiber matrix of the sampled
+form is therefore (1/G_k) sum_{s<=k} v_s v_s* / s: one product of the
+outer-product coordinates with a fixed (k_max, 2K) weight matrix gives the
+weighted sums and the traces G_k for all k, and a second product with the
+tensor, mapped to those coordinates, gives all forms.  No gamma draw, no sphere
 normalization and no division by |v_s| is needed.  Each chunk's forms are
-filled from sample blocks of _DRAW_BLOCK // k_max samples (at least one),
-so a worker holds about 2^15 (2r + r^2) 8 bytes of draws and outer-product
-planes (2 MiB at r = 2) for any k_max up to 2^15, next to the chunk's
-(n^2, K, 16384) forms; the statistics still see the whole chunk.  Products
-are handed to BLAS in blocks small enough to stay on the calling thread, so
-that BLAS threads do not compete with the point pool.  The index of a form,
+filled from sample blocks sized in bytes: a sample's draws and outer-product
+planes take 8 k_max (2r + r^2) bytes, and a block holds
+``measures._BLOCK_BYTES`` (1.5 MiB) of them, that is at least one sample,
+so a worker holds about 1.5 MiB of them at any r and at any k_max up to
+3 * 2^16 / (2r + r^2), next to the chunk's (n^2, K, 16384) forms; the
+statistics still see the whole chunk.  Products are handed to BLAS in
+blocks small enough to stay on the calling thread, so that BLAS threads do
+not compete with the point pool.  The index of a form,
 at every n, is the number of negative pivots of its LDL* factorization
 without pivoting (Sylvester's law of inertia, Jacobi's rule), taken in one
 batched pass over the real coordinates.  A screen accepts the pivots only
@@ -57,8 +59,8 @@ stream order, which give the same normals as one ``(m, k_max, 2r)`` draw,
 and is re-used for smaller k (common random numbers: for every k the first
 k of the k_max vectors give an exact symmetric Dirichlet(r, ..., r) point x
 and independent uniform sphere vectors).  The block size depends only on
-k_max, and aggregation over points follows the sample's point order, so the
-result is bit-identical for any worker count.
+k_max and r, and aggregation over points follows the sample's point order, so
+the result is bit-identical for any worker count.
 
 Report: a :class:`MorseRow` is exactly one CSV line; the exact prefactor
 C(n+kr-1, n) / (k!)^r of each k (86,087 digits in its denominator at
@@ -78,11 +80,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import CurvatureTensor, _apply_tensor, _matmul, _outer_coords
+from .curvature import CurvatureTensor, _matmul, _outer_coords, _tensor_map
 from .hermitian import (HermitianForm, _check_tol, _herm_coords, _herm_matrices,
                         _index_dets, _symmetrized)
 from .jet_combinatorics import _check_exact_cost, harmonic, ikrn_exact
-from .measures import estimate
+from .measures import _BLOCK_BYTES, estimate
 from .rng import stream
 
 # g_k_batch and sample_sphere_batch are not called here: bench/tracing.py
@@ -104,11 +106,6 @@ __all__ = [
 # fixed inner-MC chunk so that chunked accumulation (and hence the floating
 # result) does not depend on the total sample count's factorization
 _CHUNK = 16384
-
-# Draw vectors a Monte-Carlo kernel holds at a time: a chunk is drawn in
-# blocks of _DRAW_BLOCK // k samples (at least 1), so that a worker's memory
-# does not grow with k times the sample count.
-_DRAW_BLOCK = 2**15
 
 
 def _usable_cpus() -> int:
@@ -312,8 +309,8 @@ def _prefix_weights(k_list: tuple) -> np.ndarray:
     return w
 
 
-def _chunk_forms(point: ManifoldPoint, v: np.ndarray, k_list: Sequence[int],
-                 s: int) -> np.ndarray:
+def _chunk_forms(point: ManifoldPoint, tmap: np.ndarray, v: np.ndarray,
+                 k_list: Sequence[int], s: int) -> np.ndarray:
     """Coordinates of 2^-s times the sampled forms of one draw, shape (n*n, len(k_list), m).
 
     ``v`` (m, k_max, r) holds standard complex Gaussian vectors, with
@@ -324,8 +321,8 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray, k_list: Sequence[int],
     (1/G_k) sum_{s<=k} v_s v_s* / s, and G_k is the trace of the same sum
     without the 1/s weights.  One product of the outer-product planes with
     :func:`_prefix_weights` gives both sums for every k, and a second one
-    applies the tensor.  The factor 2^-s enters through G_k and the twist,
-    so it is exact.
+    applies the tensor through ``tmap``, the point's ``_tensor_map``.  The
+    factor 2^-s enters through G_k and the twist, so it is exact.
     """
     t = point.tensor
     k_list = tuple(k_list)
@@ -336,7 +333,7 @@ def _chunk_forms(point: ManifoldPoint, v: np.ndarray, k_list: Sequence[int],
     if point.twist is not None:
         total /= [k * r / float(harmonic(k)) for k in k_list]
     fiber = (sums[:, :, :n_k] / total).transpose(0, 2, 1).reshape(r * r, -1)
-    forms = _apply_tensor(t, fiber).reshape(t.n * t.n, n_k, m)
+    forms = _matmul(tmap.T, fiber).reshape(t.n * t.n, n_k, m)
     if point.twist is not None:
         forms += np.ldexp(_herm_coords(point.twist.entries), -s)[:, None, None]
     return forms
@@ -432,7 +429,9 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     parts = [point.tensor.c] + ([] if point.twist is None else [point.twist.entries])
     s = math.frexp(max(np.abs(a).max() for a in parts))[1]
     k_max = max(k_list)
-    block = max(1, _DRAW_BLOCK // k_max)
+    # a sample's draws and outer-product planes take 8 k_max (2r + r^2) bytes
+    block = max(1, _BLOCK_BYTES // (8 * k_max * (2 * r + r * r)))
+    tmap = _tensor_map(point.tensor)
     rng = stream(seed, "morse", point.id)
     degen = np.zeros(len(k_list), dtype=np.int64)
 
@@ -440,7 +439,7 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
         forms = np.empty((n * n, len(k_list), m))
         for lo in range(0, m, block):
             v = rng.standard_normal((min(block, m - lo), k_max, 2 * r)).view(complex)
-            forms[:, :, lo:lo + block] = _chunk_forms(point, v, k_list, s)
+            forms[:, :, lo:lo + block] = _chunk_forms(point, tmap, v, k_list, s)
         vals = np.empty((len(k_list), len(q_list), m))
         for j in range(len(k_list)):
             vals[j], d = _index_stats(forms[:, j].T, q_list, tol)

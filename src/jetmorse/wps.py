@@ -17,11 +17,14 @@ One estimator serves both :func:`integrate_fiber` and
 :func:`integrate_fiber_limit`: they differ in the stream key and in the
 draw, which for the limit is the spheres alone, with weight 1 (at k = 1 the
 finite-p draw reduces to the same: the one-point simplex draws nothing).
-Samples run in blocks of _BLOCK through ``measures.estimate``: each block
-draws its simplex points, then its spheres in block order, calls the
-integrand, checks its values and returns them weighted, so memory stays at
-one block for any sample count.  A nonzero estimate or a closed-form volume
-below the smallest normal float raises ``FloatingPointError``.
+Samples run in blocks of _BLOCK through ``measures.estimate``, fewer where
+their sphere draws (16 sum(r_s) bytes a sample) would pass
+``measures._BLOCK_BYTES``: each block draws its simplex points, then its
+spheres in block order, calls the integrand, checks its values and returns
+them weighted, so memory stays at one block for any sample count and any
+multiplicities.  A nonzero estimate or a closed-form volume below the
+smallest normal float raises ``FloatingPointError``, and so does a study
+whose importance weights all underflow to 0 where the integrand is nonzero.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .measures import dirichlet_integral, estimate, sample_nu_batch, sample_sphere_batch
+from .measures import (_BLOCK_BYTES, dirichlet_integral, estimate, sample_nu_batch,
+                       sample_sphere_batch)
 from .rng import stream
 
 __all__ = [
@@ -98,6 +103,15 @@ def volume_closed_form(w: WeightSpec) -> Fraction:
     return Fraction(1, denom)
 
 
+@lru_cache(maxsize=16)
+def _density_const(r: tuple) -> float:
+    """(|r|-1)! / (prod_s (r_s-1)! (k-1)!): the simplex density of multiplicities
+    r against the uniform one, computed once per r, not once per block: at
+    r = (1, 100000) a factorial has 456,569 digits, and a block holds one
+    sample."""
+    return float(1 / (math.factorial(len(r) - 1) * dirichlet_integral(r)))
+
+
 def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
     """Uniform simplex draws with the Dirichlet-density importance weight.
 
@@ -113,8 +127,7 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
     if limit:
         return 1.0, [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
     x = sample_nu_batch(w.k, 1, n_samples, rng)
-    const = 1 / (math.factorial(w.k - 1) * dirichlet_integral(w.r))
-    weight = float(const) * np.prod(
+    weight = _density_const(w.r) * np.prod(
         x ** (np.asarray(w.r, dtype=float) - 1.0), axis=1)
     u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
     scale = x ** (np.asarray(w.a, dtype=float) / (2.0 * w.p))
@@ -127,6 +140,8 @@ def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool
         raise FloatingPointError(f"closed-form volume 10^{-math.log10(volume.denominator):.1f}"
                                  " is below the smallest normal float")
     rng = stream(seed, "fiber", "limit" if limit else "p", w.a, w.r)
+    # whether some integrand value, and some weighted value, is nonzero
+    nonzero = [False, False]
 
     def weighted(first, m):
         weight, blocks = _sample_blocks(w, m, rng, limit)
@@ -135,9 +150,17 @@ def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool
         if bad.any():
             i = int(bad.argmax())
             raise FiberEvaluationError(first + i, tuple(b[i] for b in blocks))
-        return vals * weight
+        out = vals * weight
+        nonzero[0] = nonzero[0] or bool(vals.any())
+        nonzero[1] = nonzero[1] or bool(out.any())
+        return out
 
-    mean, se = estimate(weighted, n_samples, _BLOCK)
+    # a sample's sphere draws take 16 sum(r_s) bytes
+    mean, se = estimate(weighted, n_samples,
+                        max(1, min(_BLOCK, _BLOCK_BYTES // (16 * sum(w.r)))))
+    if nonzero[0] and not nonzero[1]:
+        raise FloatingPointError("every importance weight underflows to 0 where the "
+                                 "integrand is nonzero")
     est = float(mean) * scale
     if mean and not abs(est) >= np.finfo(float).smallest_normal:
         raise FloatingPointError(f"estimate {est!r} is below the smallest normal float")

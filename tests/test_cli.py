@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 from jetmorse import cli
-from jetmorse.cli import main
+from jetmorse.cli import _DRAW_BLOCK, main
 from jetmorse.curvature import tensor_to_json
-from jetmorse.jet_combinatorics import ikrn_exact
+from jetmorse.jet_combinatorics import EULER_GAMMA, ikrn_exact
 from jetmorse.measures import estimate, sample_nu_batch
 from jetmorse.models import random_tensor
-from jetmorse.morse_mc import _DRAW_BLOCK, _fmt, full_morse_constant
+from jetmorse.morse_mc import _fmt, full_morse_constant
 from jetmorse.rng import stream
 
 MODEL = json.dumps({"type": "random", "n": 2, "r": 2, "points": 2,
@@ -173,6 +174,36 @@ def test_wps_volume_estimate_underflow_exit4_before_output(mults, capsys):
     assert out == ""
     assert err.startswith("numerical failure: estimate ")
     assert err.endswith("is below the smallest normal float\n")
+
+
+def test_wps_volume_all_weights_underflow_exit4_before_output(capsys):
+    # every importance weight 10^5 x_2^99999 underflowed to 0, so the mean
+    # was exactly 0: estimate 0, std_error 0, z_score -inf and exit 0
+    rc = main(["wps-volume", "--weights", "1,1", "--mults", "1,100000",
+               "--samples", "10", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == ("numerical failure: every importance weight underflows to 0 "
+                   "where the integrand is nonzero\n")
+
+
+def test_ikrn_asymptotic_past_k_power_overflow(capsys):
+    # float(1000) ** 103 overflowed and exited 4, though the value is 1.1e-219
+    assert main(["ikrn", "--k", "1000", "--r", "1", "--n", "103",
+                 "--mode", "asymptotic"]) == 0
+    value = float(capsys.readouterr().out.split()[1])
+    assert value == pytest.approx(((math.log(1000) + EULER_GAMMA) / 1000) ** 103, rel=1e-13)
+
+
+def test_ikrn_asymptotic_below_normal_exit4_before_output(capsys):
+    # ((ln 1000 + gamma) / 1000)^145 is about 6e-309, below the normal floats
+    rc = main(["ikrn", "--k", "1000", "--r", "1", "--n", "145", "--mode", "asymptotic"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == ("numerical failure: asymptotic value at k=1000, n=145 is below "
+                   "the smallest normal float\n")
 
 
 def _digest(data: bytes) -> str:

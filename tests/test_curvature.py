@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from jetmorse.curvature import (CurvatureTensor, _tensor_map, eta,
                                 g_k_batch, tensor_from_json, tensor_to_json, trace_free)
-from jetmorse.hermitian import _herm_basis, _herm_coords, _herm_matrices, _triu_pairs
+from jetmorse.hermitian import _herm_coords, _herm_matrices, _triu_pairs
 from jetmorse.measures import sample_nu_batch, sample_sphere_batch
 from jetmorse.models import random_tensor
 from jetmorse.rng import stream
@@ -58,17 +60,32 @@ def test_g_k_single_vs_batch(n, r, k):
 
 
 def test_tensor_map_matches_einsum_build():
-    # the cached-basis map against a fresh einsum over the basis matrices
+    # the map built from c's entries against an einsum over the matrices of
+    # the coordinate basis, to the bit
     for n in range(1, 5):
-        for r in range(1, 4):
+        for r in range(1, 8):
             t = random_tensor(n, r, 1.0, 80 + 4 * n + r)
             basis = _herm_matrices(np.eye(r * r), r)
             want = _herm_coords(np.einsum("ijab,xab->xij", t.c, basis))
             got = _tensor_map(t)
             assert got.shape == (r * r, n * n)
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert not _herm_basis(2).flags.writeable
+            assert np.array_equal(got, want)
     assert not _triu_pairs(3)[0].flags.writeable
+
+
+def test_tensor_map_memory_linear_in_entries():
+    # the (r^2, r^2) complex basis took 1.6 GB at r = 100; the map itself
+    # is 80 KB there at n = 1
+    t = random_tensor(1, 100, 1.0, 3)
+    tracemalloc.start()
+    try:
+        got = _tensor_map(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (100 * 100, 1)
+    assert np.array_equal(got[:100, 0], t.c[0, 0].diagonal().real)
+    assert peak < 2**20
 
 
 def test_tensor_symmetrization_keeps_huge_finite_entries():

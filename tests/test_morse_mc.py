@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jetmorse import morse_mc
-from jetmorse.curvature import CurvatureTensor, g_k_batch, trace_free
+from jetmorse.curvature import CurvatureTensor, _tensor_map, g_k_batch, trace_free
 from jetmorse.hermitian import HermitianForm, _herm_matrices
 from jetmorse.jet_combinatorics import ResourceLimitError, harmonic, ikrn_exact
 from jetmorse.models import build_sample, fubini_study_tensor, random_tensor
@@ -252,7 +252,7 @@ def test_index_partition_sums_to_det():
 
 def test_point_study_memory_bounded():
     # k 4096 x 256 samples: one (m, k, 2r) draw and its r^2 outer-product
-    # planes took 80 MiB; blocks of _DRAW_BLOCK // k samples hold about 2 MiB
+    # planes took 80 MiB; blocks sized by _BLOCK_BYTES hold about 1.5 MiB
     point = ManifoldPoint("p", random_tensor(2, 2, 1.0, 1), 1.0)
     tracemalloc.start()
     try:
@@ -265,14 +265,46 @@ def test_point_study_memory_bounded():
 
 def test_draw_blocks_keep_result_bits(monkeypatch):
     # the morse-random bench shape: one 4096-sample chunk filled from one
-    # block and from four; the blocks draw the same normals in stream order
+    # block and from four; the blocks draw the same normals in stream order.
+    # A sample takes 8 k_max (2r + r^2) bytes, 2 KiB at k_max 32 and r 2
     point = ManifoldPoint("p", random_tensor(2, 2, 1.0, 1), 1 / 16)
     args = ([4, 8, 16, 32], [0, 1, 2], 4096, 1, 1e-9)
-    monkeypatch.setattr(morse_mc, "_DRAW_BLOCK", 32 * 4096)
+    monkeypatch.setattr(morse_mc, "_BLOCK_BYTES", 2048 * 4096)
     one = morse_mc._point_study(point, *args)
-    monkeypatch.setattr(morse_mc, "_DRAW_BLOCK", 32 * 1024)
+    monkeypatch.setattr(morse_mc, "_BLOCK_BYTES", 2048 * 1024)
     four = morse_mc._point_study(point, *args)
     assert all(np.array_equal(a, b) for a, b in zip(four, one))
+
+
+@pytest.mark.parametrize("r", [6, 12])
+def test_point_study_memory_flat_in_rank(r):
+    # n 2, k 4,8,16,32, 4096 samples: blocks of 2^15 // k_max samples held
+    # 14.8 MiB at r = 6 and 51.5 MiB at r = 12; blocks sized in bytes hold
+    # about 2.3 MiB at every r
+    point = ManifoldPoint("p", random_tensor(2, r, 1.0, 1), 1.0)
+    tracemalloc.start()
+    try:
+        morse_mc._point_study(point, [4, 8, 16, 32], [0, 1, 2], 4096, 1, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def test_point_study_builds_tensor_map_once(monkeypatch):
+    # the map used to be rebuilt for every draw block, and at r = 12 a
+    # 4096-sample study at k_max 32 runs 114 blocks of 36 samples
+    calls = []
+
+    def spy(t):
+        calls.append(t)
+        return tensor_map(t)
+
+    tensor_map = morse_mc._tensor_map
+    monkeypatch.setattr(morse_mc, "_tensor_map", spy)
+    point = ManifoldPoint("p", random_tensor(2, 12, 1.0, 1), 1.0)
+    morse_mc._point_study(point, [4, 8, 16, 32], [0, 1, 2], 4096, 1, 1e-9)
+    assert len(calls) == 1 and calls[0] is point.tensor
 
 
 def test_worker_count_determinism():
@@ -466,7 +498,7 @@ def test_fused_kernel_matches_reference(n, r, twisted):
     v = rng.standard_normal((m, max(k_list), 2 * r)).view(complex)
     g = np.sum(np.abs(v) ** 2, axis=-1)
     u = v / np.sqrt(g)[..., None]
-    forms = morse_mc._chunk_forms(point, v, k_list, 0)
+    forms = morse_mc._chunk_forms(point, _tensor_map(point.tensor), v, k_list, 0)
     strict = _reference_chunk(point, g, u, k_list, q_list, 1e-9)
     # a band holding half the smallest eigenvalues at k=3 forces the
     # screen to hand rows to the eigensolve

@@ -291,3 +291,27 @@ def test_estimate_below_normal_floats_raises(limit, value):
     with pytest.raises(FloatingPointError, match=r"^estimate -?\d.* below the smallest normal"):
         run(WeightSpec((1, 2**1022), (1, 1)), lambda z: value, 10, 1)
     assert run(WeightSpec((1, 2**1022), (1, 1)), lambda z: 0.0, 10, 1) == (0.0, 0.0)
+
+
+def test_fiber_memory_bounded_in_multiplicity():
+    # blocks of 2^12 samples at mults (1, 1000) held 125 MiB of sphere draws;
+    # the block is capped at measures._BLOCK_BYTES of them (98 samples here)
+    w = WeightSpec((1, 1), (1, 1000))
+    tracemalloc.start()
+    try:
+        est, se = integrate_fiber(w, lambda z: 1.0, 8192, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(est) and se > 0
+    assert peak < 16 * 2**20
+
+
+def test_all_importance_weights_underflow_raises():
+    # each weight 10^5 x_2^99999 underflows to 0 for these draws: the mean
+    # was exactly 0, and 0 +- 0 was returned for the volume 1
+    w = WeightSpec((1, 1), (1, 100000))
+    with pytest.raises(FloatingPointError, match="every importance weight underflows"):
+        integrate_fiber(w, lambda z: 1.0, 10, 1)
+    # a zero integrand is still exactly 0 +- 0
+    assert integrate_fiber(w, lambda z: 0.0, 10, 1) == (0.0, 0.0)
