@@ -28,7 +28,7 @@ from . import __version__
 from .jet_combinatorics import (MC_VARIATE_CEILING, ResourceLimitError, epsilon_ratio,
                                 ikrn_asymptotic, ikrn_bounds, ikrn_exact,
                                 inverse_square_sum)
-from .measures import estimate, sample_nu_batch
+from .measures import _block_samples, estimate, sample_nu_batch
 from .models import CompleteIntersectionSpec, build_sample, ci_threshold
 from .morse_mc import _fmt, _int_text, convergence_study
 from .rng import stream
@@ -38,11 +38,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
-
-# ``ikrn --mode mc`` draws blocks of _DRAW_BLOCK // k samples (at least 1),
-# so that its memory does not grow with k times the sample count; a sample is
-# k simplex coordinates at any r, so the block is counted in coordinates.
-_DRAW_BLOCK = 2**15
 
 
 def _rat(v: Fraction) -> str:
@@ -94,7 +89,7 @@ def cmd_wps_volume(args) -> int:
 
 def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
     """(mean, std error) of (sum_s x_s / s)^n over simplex draws x, drawn and
-    reduced in blocks of _DRAW_BLOCK // k samples in stream order.  One
+    reduced in blocks in stream order, 16 k bytes a sample at any r.  One
     sample's k r variates and the run's k r samples are checked against
     ``MC_VARIATE_CEILING`` before anything is allocated or drawn."""
     if n < 0:
@@ -109,7 +104,7 @@ def _ikrn_mc(k: int, r: int, n: int, samples: int, seed: int):
     rng = stream(seed, "ikrn-mc", k, r, n)
     w = 1.0 / np.arange(1, k + 1)
     mean, se = estimate(lambda first, m: (sample_nu_batch(k, r, m, rng) @ w) ** n,
-                        samples, max(1, _DRAW_BLOCK // k))
+                        samples, _block_samples(16 * k))
     return float(mean), float(se)
 
 

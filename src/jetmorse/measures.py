@@ -12,10 +12,10 @@ Moments of both are available in closed form as exact rationals; the samplers
 are exact (normalized Gamma draws, normalized complex Gaussians) so no
 rejection step is needed.  Every Monte-Carlo estimate (``morse``, the fiber
 integrals, ``ikrn --mode mc``) is one :func:`estimate` over blocks of
-samples: each block is summarized as (count, mean, M2), and the summaries are
-merged in order (Chan, Golub & LeVeque 1983), so an estimator holds one
-block at a time, free of the cancellation a sum of squares suffers when the
-mean dominates.
+samples, sized by :func:`_block_samples`: each block is summarized as
+(count, mean, M2), and the summaries are merged in order (Chan, Golub &
+LeVeque 1983), so an estimator holds one block at a time, free of the
+cancellation a sum of squares suffers when the mean dominates.
 """
 
 from __future__ import annotations
@@ -37,10 +37,14 @@ __all__ = [
 ]
 
 # Bytes of draws (and, in ``morse``, outer-product planes) a Monte-Carlo kernel
-# holds per block: a block of ``morse`` samples and of fiber samples is sized so
-# that its arrays stay near a 2 MiB L2 cache with their temporaries, whatever
-# the rank r or the multiplicities.
+# holds per block, so that its arrays stay near a 2 MiB L2 cache with their
+# temporaries, whatever the rank r, the multiplicities or k.
 _BLOCK_BYTES = 3 << 19
+
+
+def _block_samples(sample_bytes: int) -> int:
+    """Samples of ``sample_bytes`` each in a block of _BLOCK_BYTES; at least one."""
+    return max(1, _BLOCK_BYTES // sample_bytes)
 
 
 def sample_nu_batch(k: int, r: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:

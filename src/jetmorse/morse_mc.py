@@ -16,7 +16,7 @@ Kernel: each chunk of draws is processed once for every k of a study.
 Hermitian matrices are handled in the real coordinates that ``hermitian``
 owns (diagonal, then real and imaginary parts of the upper triangle), and
 the tensor is applied through ``curvature``'s tensor map, the same path as
-``curvature.g_k_batch``; the map is built once per point.  The draws are
+``curvature.g_k_batch``; a point's constants are built once.  The draws are
 standard complex Gaussian vectors v_s in C^r.  By the polar identity,
 g_s = |v_s|^2 is a Gamma(r) variable independent of u_s = v_s / |v_s|,
 which is uniform on the unit sphere, and g_s u_s u_s* = v_s v_s*.  With
@@ -26,15 +26,14 @@ outer-product coordinates with a fixed (k_max, 2K) weight matrix gives the
 weighted sums and the traces G_k for all k, and a second product with the
 tensor, mapped to those coordinates, gives all forms.  No gamma draw, no sphere
 normalization and no division by |v_s| is needed.  Each chunk's forms are
-filled from sample blocks sized in bytes: a sample's draws and outer-product
-planes take 8 k_max (2r + r^2) bytes, and a block holds
-``measures._BLOCK_BYTES`` (1.5 MiB) of them, that is at least one sample,
-so a worker holds about 1.5 MiB of them at any r and at any k_max up to
-3 * 2^16 / (2r + r^2), next to the chunk's (n^2, K, 16384) forms; the
-statistics still see the whole chunk.  Products are handed to BLAS in
-blocks small enough to stay on the calling thread, so that BLAS threads do
-not compete with the point pool.  The index of a form,
-at every n, is the number of negative pivots of its LDL* factorization
+filled from sample blocks of ``measures._block_samples``: a sample's draws
+and outer-product planes take 8 k_max (2r + r^2) bytes, and a block holds
+1.5 MiB of them, at least one sample, so a worker holds about 1.5 MiB of
+them at any r and at any k_max up to 3 * 2^16 / (2r + r^2), next to the
+chunk's (n^2, K, 16384) forms; the statistics still see the whole chunk.
+Products are handed to BLAS in blocks small enough to stay on the calling
+thread, so that BLAS threads do not compete with the point pool.  The index
+of a form, at every n, is the number of negative pivots of its LDL* factorization
 without pivoting (Sylvester's law of inertia, Jacobi's rule), taken in one
 batched pass over the real coordinates.  A screen accepts the pivots only
 when their product, the factorization's backward error (Higham) and Weyl's
@@ -75,7 +74,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,7 +82,7 @@ from .curvature import CurvatureTensor, _matmul, _outer_coords, _tensor_map
 from .hermitian import (HermitianForm, _check_tol, _herm_coords, _herm_matrices,
                         _index_dets, _symmetrized)
 from .jet_combinatorics import _check_exact_cost, harmonic, ikrn_exact
-from .measures import _BLOCK_BYTES, estimate
+from .measures import _block_samples, estimate
 from .rng import stream
 
 # g_k_batch and sample_sphere_batch are not called here: bench/tracing.py
@@ -295,47 +293,40 @@ def full_morse_constant(n: int, k: int, r: int) -> tuple[Fraction, float]:
 _SCREEN_EPS = 2**10 * np.finfo(float).eps
 
 
-@lru_cache(maxsize=64)
-def _prefix_weights(k_list: tuple) -> np.ndarray:
-    """(k_max, 2K) read-only matrix of the prefix sums over s of a study's k.
+def _prefix_weights(k_list: Sequence[int]) -> np.ndarray:
+    """(k_max, 2K) matrix of the prefix sums over s of a study's ascending k.
 
     Column j sums s <= k_j with weight 1/s, column K + j sums the same s
     with weight 1.
     """
     s = np.arange(1, k_list[-1] + 1)[:, None]
     inside = (s <= np.array(k_list)).astype(float)
-    w = np.concatenate([inside / s, inside], axis=1)
-    w.setflags(write=False)
-    return w
+    return np.concatenate([inside / s, inside], axis=1)
 
 
-def _chunk_forms(point: ManifoldPoint, tmap: np.ndarray, v: np.ndarray,
-                 k_list: Sequence[int], s: int) -> np.ndarray:
-    """Coordinates of 2^-s times the sampled forms of one draw, shape (n*n, len(k_list), m).
+def _chunk_forms(v: np.ndarray, weights: np.ndarray, tmap: np.ndarray, s: int,
+                 renorm=None, twist=None) -> np.ndarray:
+    """Coordinates of 2^-s times the sampled forms of one draw, shape (n*n, K, m).
 
-    ``v`` (m, k_max, r) holds standard complex Gaussian vectors, with
-    k_max = max(k_list).  By the polar identity, g_s = |v_s|^2 is a
-    Gamma(r) variable independent of u_s = v_s / |v_s|, which is uniform on
-    the unit sphere, and g_s u_s u_s* = v_s v_s*.  With G_k = sum_{s<=k} g_s
-    and x_s = g_s / G_k, the fiber matrix of the sampled form is therefore
-    (1/G_k) sum_{s<=k} v_s v_s* / s, and G_k is the trace of the same sum
-    without the 1/s weights.  One product of the outer-product planes with
-    :func:`_prefix_weights` gives both sums for every k, and a second one
-    applies the tensor through ``tmap``, the point's ``_tensor_map``.  The
-    factor 2^-s enters through G_k and the twist, so it is exact.
+    ``v`` (m, k_max, r) holds standard complex Gaussian vectors (see the
+    module docstring).  One product of their outer-product planes with
+    ``weights``, the study's :func:`_prefix_weights`, gives the weighted
+    sums and the traces G_k for every k, and a second one applies the tensor
+    through ``tmap``, the point's ``_tensor_map``.  A twisted point passes
+    ``renorm``, the K factors k r / H_k, and ``twist``, the (n*n, 1, 1)
+    coordinates of 2^-s Theta_F.  The factor 2^-s enters through G_k and
+    the twist, so it is exact.
     """
-    t = point.tensor
-    k_list = tuple(k_list)
-    n_k, (m, k_max, r) = len(k_list), v.shape
-    sums = _matmul(_outer_coords(v).reshape(-1, k_max), _prefix_weights(k_list))
+    n_k, (m, k_max, r) = weights.shape[1] // 2, v.shape
+    sums = _matmul(_outer_coords(v).reshape(-1, k_max), weights)
     sums = sums.reshape(r * r, m, 2 * n_k)
     total = np.ldexp(sums[:r, :, n_k:].sum(axis=0), s)
-    if point.twist is not None:
-        total /= [k * r / float(harmonic(k)) for k in k_list]
+    if renorm is not None:
+        total /= renorm
     fiber = (sums[:, :, :n_k] / total).transpose(0, 2, 1).reshape(r * r, -1)
-    forms = _matmul(tmap.T, fiber).reshape(t.n * t.n, n_k, m)
-    if point.twist is not None:
-        forms += np.ldexp(_herm_coords(point.twist.entries), -s)[:, None, None]
+    forms = _matmul(tmap.T, fiber).reshape(tmap.shape[1], n_k, m)
+    if twist is not None:
+        forms += twist
     return forms
 
 
@@ -430,8 +421,13 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
     s = math.frexp(max(np.abs(a).max() for a in parts))[1]
     k_max = max(k_list)
     # a sample's draws and outer-product planes take 8 k_max (2r + r^2) bytes
-    block = max(1, _BLOCK_BYTES // (8 * k_max * (2 * r + r * r)))
-    tmap = _tensor_map(point.tensor)
+    block = _block_samples(8 * k_max * (2 * r + r * r))
+    # the study's constants, built once for all its draw blocks
+    weights, tmap = _prefix_weights(k_list), _tensor_map(point.tensor)
+    renorm = twist = None
+    if point.twist is not None:
+        renorm = np.array([k * r / float(harmonic(k)) for k in k_list])
+        twist = np.ldexp(_herm_coords(point.twist.entries), -s)[:, None, None]
     rng = stream(seed, "morse", point.id)
     degen = np.zeros(len(k_list), dtype=np.int64)
 
@@ -439,7 +435,7 @@ def _point_study(point: ManifoldPoint, k_list, q_list, n_samples, seed, tol):
         forms = np.empty((n * n, len(k_list), m))
         for lo in range(0, m, block):
             v = rng.standard_normal((min(block, m - lo), k_max, 2 * r)).view(complex)
-            forms[:, :, lo:lo + block] = _chunk_forms(point, tmap, v, k_list, s)
+            forms[:, :, lo:lo + block] = _chunk_forms(v, weights, tmap, s, renorm, twist)
         vals = np.empty((len(k_list), len(q_list), m))
         for j in range(len(k_list)):
             vals[j], d = _index_stats(forms[:, j].T, q_list, tol)
@@ -532,6 +528,8 @@ def convergence_study(M: ManifoldSample, k_list: Sequence[int], q_list: Sequence
     q_list = [int(q) for q in q_list]
     if any(v < 0 or v > M.n for v in q_list):
         raise ValueError("q must lie in [0, n]")
+    if not q_list or len(set(q_list)) != len(q_list):
+        raise ValueError("q_list must name at least one q, each q once")
     n, r = M.n, M.r
     # the exact layer's ceilings, before any sampling: each k needs
     # I(k, r, n) untwisted, and H_k (order 1) with a twist

@@ -18,13 +18,14 @@ One estimator serves both :func:`integrate_fiber` and
 draw, which for the limit is the spheres alone, with weight 1 (at k = 1 the
 finite-p draw reduces to the same: the one-point simplex draws nothing).
 Samples run in blocks of _BLOCK through ``measures.estimate``, fewer where
-their sphere draws (16 sum(r_s) bytes a sample) would pass
-``measures._BLOCK_BYTES``: each block draws its simplex points, then its
-spheres in block order, calls the integrand, checks its values and returns
-them weighted, so memory stays at one block for any sample count and any
+``measures._block_samples`` of their sphere draws (16 sum(r_s) bytes a
+sample) is smaller: each block draws its simplex points, then its spheres in
+block order, calls the integrand, checks its values and returns them
+weighted, so memory stays at one block for any sample count and any
 multiplicities.  A nonzero estimate or a closed-form volume below the
-smallest normal float raises ``FloatingPointError``, and so does a study
-whose importance weights all underflow to 0 where the integrand is nonzero.
+smallest normal float raises ``FloatingPointError``, and so do a study whose
+importance weights all underflow to 0 where the integrand is nonzero and a
+simplex density constant past the float range.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .measures import (_BLOCK_BYTES, dirichlet_integral, estimate, sample_nu_batch,
+from .measures import (_block_samples, dirichlet_integral, estimate, sample_nu_batch,
                        sample_sphere_batch)
 from .rng import stream
 
@@ -103,16 +103,7 @@ def volume_closed_form(w: WeightSpec) -> Fraction:
     return Fraction(1, denom)
 
 
-@lru_cache(maxsize=16)
-def _density_const(r: tuple) -> float:
-    """(|r|-1)! / (prod_s (r_s-1)! (k-1)!): the simplex density of multiplicities
-    r against the uniform one, computed once per r, not once per block: at
-    r = (1, 100000) a factorial has 456,569 digits, and a block holds one
-    sample."""
-    return float(1 / (math.factorial(len(r) - 1) * dirichlet_integral(r)))
-
-
-def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
+def _sample_blocks(w: WeightSpec, n_samples: int, rng, const) -> tuple:
     """Uniform simplex draws with the Dirichlet-density importance weight.
 
     The true simplex density is (|r|-1)! prod x_s^{r_s-1} / prod (r_s-1)!;
@@ -120,17 +111,18 @@ def _sample_blocks(w: WeightSpec, n_samples: int, rng, limit: bool) -> tuple:
     genuinely stochastic (the weight integrates to 1 by the simplex moment
     identity) while the weights stay bounded since every r_s >= 1.
 
+    ``const`` is the run's (density constant, r_s - 1, a_s / 2p), or None for
+    the p -> infinity limit, which draws the spheres alone with weight 1.
     Returns ``(weight, blocks)`` with ``blocks[s] = x_s^{a_s/2p} u_s`` of
-    shape (n_samples, r_s).  Draw order: gamma, then the spheres in block order;
-    the p -> infinity ``limit`` draws the spheres alone, with weight 1.
+    shape (n_samples, r_s).  Draw order: gamma, then the spheres in block order.
     """
-    if limit:
+    if const is None:
         return 1.0, [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
+    density, powers, exponents = const
     x = sample_nu_batch(w.k, 1, n_samples, rng)
-    weight = _density_const(w.r) * np.prod(
-        x ** (np.asarray(w.r, dtype=float) - 1.0), axis=1)
+    weight = density * np.prod(x ** powers, axis=1)
     u = [sample_sphere_batch(r_s, (n_samples,), rng) for r_s in w.r]
-    scale = x ** (np.asarray(w.a, dtype=float) / (2.0 * w.p))
+    scale = x ** exponents
     return weight, [scale[:, s, None] * u_s for s, u_s in enumerate(u)]
 
 
@@ -139,12 +131,23 @@ def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool
     if not (scale := float(volume)) >= np.finfo(float).smallest_normal:
         raise FloatingPointError(f"closed-form volume 10^{-math.log10(volume.denominator):.1f}"
                                  " is below the smallest normal float")
+    const = None
+    if not limit:
+        # the simplex density (|r|-1)! / (prod_s (r_s-1)! (k-1)!) against the uniform
+        # one, made once per run: at r = (1, 100000) a factorial has 456,569 digits
+        try:
+            density = float(1 / (math.factorial(w.k - 1) * dirichlet_integral(w.r)))
+        except OverflowError:
+            raise FloatingPointError(f"the simplex density constant of multiplicities {w.r}"
+                                     " is past the float range") from None
+        const = (density, np.asarray(w.r, dtype=float) - 1.0,
+                 np.asarray(w.a, dtype=float) / (2.0 * w.p))
     rng = stream(seed, "fiber", "limit" if limit else "p", w.a, w.r)
     # whether some integrand value, and some weighted value, is nonzero
     nonzero = [False, False]
 
     def weighted(first, m):
-        weight, blocks = _sample_blocks(w, m, rng, limit)
+        weight, blocks = _sample_blocks(w, m, rng, const)
         vals = np.fromiter(map(f, zip(*blocks)), float, count=m)
         bad = ~np.isfinite(vals)
         if bad.any():
@@ -156,8 +159,7 @@ def _estimate(w: WeightSpec, f: Callable, n_samples: int, seed: int, limit: bool
         return out
 
     # a sample's sphere draws take 16 sum(r_s) bytes
-    mean, se = estimate(weighted, n_samples,
-                        max(1, min(_BLOCK, _BLOCK_BYTES // (16 * sum(w.r)))))
+    mean, se = estimate(weighted, n_samples, min(_BLOCK, _block_samples(16 * sum(w.r))))
     if nonzero[0] and not nonzero[1]:
         raise FloatingPointError("every importance weight underflows to 0 where the "
                                  "integrand is nonzero")

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from jetmorse import cli
-from jetmorse.cli import _DRAW_BLOCK, main
+from jetmorse.cli import main
 from jetmorse.curvature import tensor_to_json
 from jetmorse.jet_combinatorics import EULER_GAMMA, ikrn_exact
-from jetmorse.measures import estimate, sample_nu_batch
+from jetmorse.measures import _block_samples, estimate, sample_nu_batch
 from jetmorse.models import random_tensor
 from jetmorse.morse_mc import _fmt, full_morse_constant
 from jetmorse.rng import stream
@@ -98,7 +98,7 @@ def test_ikrn_mc_std_error_is_estimate_of_its_draws(capsys):
     rng = stream(seed, "ikrn-mc", k, r, n)
     w = 1.0 / np.arange(1, k + 1)
     mean, se = estimate(lambda first, m: (sample_nu_batch(k, r, m, rng) @ w) ** n,
-                        samples, max(1, _DRAW_BLOCK // k))
+                        samples, _block_samples(16 * k))
     assert capsys.readouterr().out == f"estimate {_fmt(mean)}\nstd_error {_fmt(se)}\n"
 
 
@@ -188,6 +188,18 @@ def test_wps_volume_all_weights_underflow_exit4_before_output(capsys):
                    "where the integrand is nonzero\n")
 
 
+def test_wps_volume_density_constant_overflow_exit4_before_output(capsys):
+    # the simplex density constant 1199! / 599!^2 (about 10^360) exited 4 with
+    # "integer division result too large for a float", naming no input
+    rc = main(["wps-volume", "--weights", "1,1", "--mults", "600,600",
+               "--samples", "1000", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == ("numerical failure: the simplex density constant of multiplicities "
+                   "(600, 600) is past the float range\n")
+
+
 def test_ikrn_asymptotic_past_k_power_overflow(capsys):
     # float(1000) ** 103 overflowed and exited 4, though the value is 1.1e-219
     assert main(["ikrn", "--k", "1000", "--r", "1", "--n", "103",
@@ -219,7 +231,7 @@ def _digest(data: bytes) -> str:
     (["wps-volume", "--weights", "1,2", "--mults", "2,1", "--p", "5",
       "--samples", "5000", "--seed", "3"], "b7d029991306641ac6dab3723ecfdfd7"),
     (["ikrn", "--k", "6", "--r", "2", "--n", "3", "--mode", "mc",
-      "--samples", "100000", "--seed", "7"], "306365cb8aa80c4ddd0efe252395e814"),
+      "--samples", "100000", "--seed", "7"], "7120f6797363647bb4c2af3aa493fa39"),
 ])
 def test_mc_output_bytes_pinned(argv, digest, capsys):
     assert main(argv) == 0
@@ -551,8 +563,8 @@ def test_ikrn_exact_past_int_str_limit(capsys):
 
 
 def test_ikrn_mc_memory_bounded():
-    # the draw is made in blocks of _DRAW_BLOCK // k samples; one (samples, k)
-    # array took 128 MiB here
+    # the draw is made in blocks of measures._block_samples(16 k) samples; one
+    # (samples, k) array took 128 MiB here
     tracemalloc.start()
     try:
         cli._ikrn_mc(4096, 2, 3, 2048, 1)

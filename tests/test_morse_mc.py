@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetmorse import morse_mc
+from jetmorse import measures, morse_mc
 from jetmorse.curvature import CurvatureTensor, _tensor_map, g_k_batch, trace_free
-from jetmorse.hermitian import HermitianForm, _herm_matrices
+from jetmorse.hermitian import HermitianForm, _herm_coords, _herm_matrices
 from jetmorse.jet_combinatorics import ResourceLimitError, harmonic, ikrn_exact
 from jetmorse.models import build_sample, fubini_study_tensor, random_tensor
 from jetmorse.morse_mc import (ManifoldPoint, ManifoldSample, MorseReport,
@@ -269,9 +269,9 @@ def test_draw_blocks_keep_result_bits(monkeypatch):
     # A sample takes 8 k_max (2r + r^2) bytes, 2 KiB at k_max 32 and r 2
     point = ManifoldPoint("p", random_tensor(2, 2, 1.0, 1), 1 / 16)
     args = ([4, 8, 16, 32], [0, 1, 2], 4096, 1, 1e-9)
-    monkeypatch.setattr(morse_mc, "_BLOCK_BYTES", 2048 * 4096)
+    monkeypatch.setattr(measures, "_BLOCK_BYTES", 2048 * 4096)
     one = morse_mc._point_study(point, *args)
-    monkeypatch.setattr(morse_mc, "_BLOCK_BYTES", 2048 * 1024)
+    monkeypatch.setattr(measures, "_BLOCK_BYTES", 2048 * 1024)
     four = morse_mc._point_study(point, *args)
     assert all(np.array_equal(a, b) for a, b in zip(four, one))
 
@@ -305,6 +305,26 @@ def test_point_study_builds_tensor_map_once(monkeypatch):
     point = ManifoldPoint("p", random_tensor(2, 12, 1.0, 1), 1.0)
     morse_mc._point_study(point, [4, 8, 16, 32], [0, 1, 2], 4096, 1, 1e-9)
     assert len(calls) == 1 and calls[0] is point.tensor
+
+
+def test_point_study_builds_constants_once(monkeypatch):
+    # the prefix weights, and a twisted point's twist coordinates and k r / H_k,
+    # used to be rebuilt for every draw block: r = 3 at k_max 32 runs 11 blocks
+    calls = dict.fromkeys(["_prefix_weights", "_herm_coords", "harmonic"], 0)
+
+    def spy(name):
+        orig = getattr(morse_mc, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return orig(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(morse_mc, name, spy(name))
+    point = ManifoldPoint("p", random_tensor(2, 3, 1.0, 1), 1.0, HermitianForm(np.eye(2)))
+    morse_mc._point_study(point, [4, 8, 16, 32], [0, 1, 2], 4096, 1, 1e-9)
+    assert calls == {"_prefix_weights": 1, "_herm_coords": 1, "harmonic": 4}
 
 
 def test_worker_count_determinism():
@@ -373,6 +393,20 @@ def test_convergence_study_refuses_exact_ceiling_before_sampling(twisted, k, n, 
     monkeypatch.setattr(morse_mc, "_run_points", fail)
     with pytest.raises(ResourceLimitError, match=f"order {1 if twisted else n} at k={k}"):
         convergence_study(M, [2, k], [0], 256, 1, 1e-9)
+
+
+@pytest.mark.parametrize("q_list", [[], [0, 0]], ids=["empty", "repeated"])
+def test_convergence_study_refuses_bad_q_list_before_sampling(q_list, monkeypatch):
+    # an empty q_list ran the whole study and then failed in MorseReport on
+    # its full_constants, a repeated q on rows not keyed uniquely by (k, q)
+    M = _single(random_tensor(2, 2, 1.0, 5))
+
+    def fail(*args):
+        raise AssertionError("sampling ran before the q_list check")
+
+    monkeypatch.setattr(morse_mc, "_run_points", fail)
+    with pytest.raises(ValueError, match="q_list"):
+        convergence_study(M, [2, 4], q_list, 100, 1, 1e-9)
 
 
 def test_int_text_equals_str():
@@ -498,7 +532,11 @@ def test_fused_kernel_matches_reference(n, r, twisted):
     v = rng.standard_normal((m, max(k_list), 2 * r)).view(complex)
     g = np.sum(np.abs(v) ** 2, axis=-1)
     u = v / np.sqrt(g)[..., None]
-    forms = morse_mc._chunk_forms(point, _tensor_map(point.tensor), v, k_list, 0)
+    renorm_twist = () if twist is None else (
+        np.array([k * r / float(harmonic(k)) for k in k_list]),
+        _herm_coords(twist.entries)[:, None, None])
+    forms = morse_mc._chunk_forms(v, morse_mc._prefix_weights(k_list),
+                                  _tensor_map(point.tensor), 0, *renorm_twist)
     strict = _reference_chunk(point, g, u, k_list, q_list, 1e-9)
     # a band holding half the smallest eigenvalues at k=3 forces the
     # screen to hand rows to the eigensolve

@@ -307,6 +307,16 @@ def test_fiber_memory_bounded_in_multiplicity():
     assert peak < 16 * 2**20
 
 
+def test_density_constant_past_float_range_raises_before_sampling(monkeypatch):
+    # 1199! / 599!^2 is about 10^360; at (400, 400) it is about 10^242 and runs
+    monkeypatch.setattr("jetmorse.wps.stream", None)  # no draw may start
+    with pytest.raises(FloatingPointError, match=r"multiplicities \(600, 600\) is past"):
+        integrate_fiber(WeightSpec((1, 1), (600, 600)), lambda z: 1.0, 1000, 1)
+    monkeypatch.undo()
+    est, se = integrate_fiber(WeightSpec((1, 1), (400, 400)), lambda z: 1.0, 1000, 1)
+    assert math.isfinite(est) and math.isfinite(se)
+
+
 def test_all_importance_weights_underflow_raises():
     # each weight 10^5 x_2^99999 underflows to 0 for these draws: the mean
     # was exactly 0, and 0 +- 0 was returned for the volume 1
